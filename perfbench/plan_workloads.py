@@ -39,8 +39,10 @@ LATENCY_KIND = {"plan-tpcc": "new_order", "plan-epinions": None}
 #: distinct inputs per run: run seed ``s`` builds the plans of ``repro run
 #: --seed`` ``s*n`` .. ``s*n+n-1``.  Plan cost varies with the input (the
 #: explain stage of one Epinions seed takes 3x another's), so a run reports
-#: the mean over several inputs.
-INPUTS = {"plan-tpcc": 3, "plan-epinions": 4}
+#: the mean over several inputs.  Six plans also spread the measurement over
+#: about a minute, which averages out the host's drift: with three TPC-C
+#: inputs (~25 s) the spread of plan_s over ten seeds was 10-23%, with six 6-10%.
+INPUTS = {"plan-tpcc": 6, "plan-epinions": 6}
 PARTITIONS = 2
 TRAIN_FRACTION = 0.7
 #: transactions routed per input (whole passes over the trace).

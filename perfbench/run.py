@@ -65,6 +65,26 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def stop_child_processes() -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The storage workers are ``spawn`` children, and starting one also starts
+    multiprocessing's resource tracker, which would otherwise outlive this
+    process by a moment.  The tracker ends once every holder of its pipe has
+    closed it, so the workers go first.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    stop = getattr(tracker, "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def layer_metrics(spans: list, result: dict) -> dict:
     """The per-layer metrics, from the recorded spans."""
     from layers import (
@@ -153,14 +173,17 @@ def main(argv: list[str] | None = None) -> int:
 
     recorder = SpanRecorder() if args.trace else NullRecorder()
     recorded = recorded_plans(args.workload, args.size)
-    if args.workload == "serve-tpcc":
-        result = run_serve_workload(
-            args.seed, args.seconds, args.size, recorder, recorded, args.out_dir
-        )
-    else:
-        result = run_plan_workload(
-            args.workload, args.seed, args.seconds, args.size, recorder, recorded
-        )
+    try:
+        if args.workload == "serve-tpcc":
+            result = run_serve_workload(
+                args.seed, args.seconds, args.size, recorder, recorded, args.out_dir
+            )
+        else:
+            result = run_plan_workload(
+                args.workload, args.seed, args.seconds, args.size, recorder, recorded
+            )
+    finally:
+        stop_child_processes()
     measured = dict(result["metrics"])
     failed_fraction = result["failed"] / result["attempted"]
     measured["ok_fraction"] = (1.0 - failed_fraction, "ratio")

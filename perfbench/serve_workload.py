@@ -43,7 +43,7 @@ from spans import SpanRecorder, TracedCluster, TracedCoordinator, TracedLocks, T
 SIZES = {
     "full": {
         "warehouses": 8, "train": 600, "live": 2000, "chunk": 100, "exact": 300,
-        "latency_samples": 1000, "inputs": 3,
+        "latency_samples": 1000, "inputs": 4,
     },
     "tiny": {
         "warehouses": 2, "train": 150, "live": 250, "chunk": 50, "exact": 50,

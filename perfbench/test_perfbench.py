@@ -18,6 +18,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+#: every workload run.py accepts: plan-epinions runs outside BENCHMARK.json's set.
+RUNNABLE = [*WORKLOADS, "plan-epinions"]
 
 
 class Runner:
@@ -57,7 +59,7 @@ def run(tmp_path_factory) -> Runner:
 
 
 @pytest.mark.storage
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", RUNNABLE)
 @pytest.mark.parametrize("trace", [0, 1])
 def test_every_declared_metric_is_emitted_with_its_unit(run, workload, trace):
     line = run(workload, trace)["line"]
@@ -146,3 +148,30 @@ def test_without_the_program_source_it_exits_nonzero_and_prints_no_result(tmp_pa
     )
     assert completed.returncode != 0
     assert '"correct"' not in completed.stdout
+
+
+def session_processes(session: int) -> list[int]:
+    """Live or unreaped processes of ``session``, from ``/proc``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            # Fields after the parenthesised command: state ppid pgrp session ...
+            if int(stat.rsplit(")", 1)[1].split()[3]) == session:
+                found.append(int(entry.name))
+    return found
+
+
+@pytest.mark.storage
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_serve_run_leaves_no_process_behind(tmp_path):
+    process = subprocess.Popen(
+        [sys.executable, str(HERE / "run.py"), "--workload", "serve-tpcc", "--seed", "1",
+         "--seconds", "1", "--trace", "0", "--size", "tiny", "--out-dir", str(tmp_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, cwd=ROOT, start_new_session=True,
+    )
+    assert process.wait(timeout=300) == 0
+    assert session_processes(process.pid) == []
