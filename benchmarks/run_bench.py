@@ -30,10 +30,10 @@ compared across PRs.  Three sections:
   and asserts both byte-determinism invariants: load-then-dump round-trips
   exactly, and the streaming ``save()`` writer emits the exact ``dumps()``
   bytes;
-* ``resilience`` runs the crash-safe-migration chaos scenario (elastic
-  2 -> 4 resize under TPC-C load with a node crash, message faults, and two
-  coordinator kills resumed from the journal) and raises on any lost
-  update, unreachable tuple, or determinism violation.
+* ``resilience`` and ``storage_resilience`` run two chaos experiments
+  through one probe (``run_chaos_probe``): the simulated crash-safe resize
+  and the SQLite worker-kill sweep.  Each raises on any lost update,
+  unreachable tuple, unrestarted kill or determinism violation.
 
 Every result row records ``peak_rss_kb`` — the process-wide peak resident
 set size observed *by the time that row finished* (Linux ``ru_maxrss``
@@ -391,67 +391,29 @@ def run_plan_io(repeats: int) -> dict:
     return section
 
 
-def run_resilience_probe(seed: int = 0) -> dict:
-    """Run the crash-safe-migration scenario and fail hard on any violation.
+def run_chaos_probe(experiment: str, seed: int = 0) -> dict:
+    """Run one chaos experiment and fail hard on any violation.
 
-    The chaos canary: an elastic 2 -> 4 resize under TPC-C load with a node
-    crash, message faults, and two coordinator kills (resumed from the
-    journal).  Zero lost updates / unreachable tuples and byte-determinism
-    are hard invariants — a regression here means the migration journal or
-    the dual-write window lost data, so the probe raises instead of merely
-    reporting.
+    ``resilience`` is an elastic 2 -> 4 resize under TPC-C load with a node
+    crash, message faults and two coordinator kills resumed from the
+    journal; ``storage-resilience`` deploys (schism, hash) x (k=2, k=4) on
+    the SQLite worker-process backend, each enduring two seeded
+    ``SIGKILL``\\ s.  Zero lost updates and unreachable tuples, a restart
+    per kill and byte-determinism are hard invariants — a regression means
+    the journal, the dual-write window or the exactly-once apply path lost
+    data, so the probe raises instead of merely reporting.  Wall-clock
+    throughput and latency live only in the printed text, keeping the
+    recorded payload deterministic.
     """
-    from repro.experiments.resilience import format_resilience, run_resilience
+    from repro.experiments import CHAOS_EXPERIMENTS, format_report
 
     start = time.perf_counter()
-    report = run_resilience(seed=seed)
+    report = CHAOS_EXPERIMENTS[experiment](seed=seed)
     seconds = time.perf_counter() - start
-    print(format_resilience(report))
+    print(format_report(report))
     if report.violations:
         raise RuntimeError(
-            "resilience violations: " + "; ".join(report.violations)
-        )
-    return {
-        "seed": report.seed,
-        "seconds": round(seconds, 3),
-        "transactions_committed": report.transactions_committed,
-        "transactions_aborted": report.transactions_aborted,
-        "coordinator_deaths": report.coordinator_deaths,
-        "resumes": report.resumes,
-        "journal_records": report.journal_records,
-        "migration_copies": report.migration_copies,
-        "migration_drops": report.migration_drops,
-        "pacer_pauses": report.pacer_pauses,
-        "pacer_throttles": report.pacer_throttles,
-        "lost_updates": report.lost_updates,
-        "unreachable_tuples": report.unreachable_tuples,
-        "fingerprint": report.fingerprint,
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-
-
-def run_storage_resilience_probe(seed: int = 0) -> dict:
-    """Run the real-storage chaos sweep and fail hard on any violation.
-
-    The process-kill canary: (schism, hash) x (k=2, k=4) TPC-C deployments
-    on the SQLite worker-process backend, each enduring two seeded
-    ``SIGKILL``\\ s.  Zero lost committed updates, zero unreachable tuples,
-    and a supervisor restart for every kill are hard invariants; wall-clock
-    throughput/latency live only in the printed table, keeping the recorded
-    payload deterministic.
-    """
-    from repro.experiments.storage_resilience import (
-        format_storage_resilience,
-        run_storage_resilience,
-    )
-
-    start = time.perf_counter()
-    report = run_storage_resilience(seed=seed)
-    seconds = time.perf_counter() - start
-    print(format_storage_resilience(report))
-    if report.violations:
-        raise RuntimeError(
-            "storage resilience violations: " + "; ".join(report.violations)
+            f"{experiment} violations: " + "; ".join(report.violations)
         )
     payload = report.to_payload()
     payload["seconds"] = round(seconds, 3)
@@ -536,8 +498,8 @@ def run(repeats: int, smoke: bool = False) -> dict:
     report["telemetry_overhead"] = run_telemetry_overhead(repeats)
     report["online_adaptation"] = run_online_adaptation(repeats)
     report["plan_io"] = run_plan_io(repeats)
-    report["resilience"] = run_resilience_probe()
-    report["storage_resilience"] = run_storage_resilience_probe()
+    report["resilience"] = run_chaos_probe("resilience")
+    report["storage_resilience"] = run_chaos_probe("storage-resilience")
     report["peak_rss_kb"] = _peak_rss_kb()
     return report
 

@@ -19,12 +19,9 @@ Typical use::
 or, from a shell::
 
     python -m repro run --workload tpcc --partitions 2 --out plan.json
-
-The legacy one-call facade (``Schism``/``run_schism``) still works and now
-shims onto the pipeline.
 """
 
-from repro.core.schism import Schism, SchismOptions, SchismResult, run_schism, start_online
+from repro.core.schism import SchismOptions, start_online
 from repro.core.strategies import (
     CompositePartitioning,
     FullReplication,
@@ -65,15 +62,12 @@ __all__ = [
     "PipelineState",
     "PlanDiff",
     "RangePredicatePartitioning",
-    "Schism",
     "SchismOptions",
-    "SchismResult",
     "Transaction",
     "Workload",
     "__version__",
     "evaluate_strategy",
     "extract_access_trace",
-    "run_schism",
     "split_workload",
     "start_online",
     "validate_strategies",

@@ -353,44 +353,15 @@ def _bench_elastic(args: argparse.Namespace) -> str:
     return format_elastic_scaling(run_elastic_scaling(seed=args.seed))
 
 
-def _bench_resilience(args: argparse.Namespace) -> str:
-    from repro.experiments.resilience import format_resilience, run_resilience
+def _bench_chaos(args: argparse.Namespace) -> str:
+    from repro.experiments import CHAOS_EXPERIMENTS, format_report
 
-    report = run_resilience(seed=args.seed)
-    text = format_resilience(report)
+    report = CHAOS_EXPERIMENTS[args.experiment](seed=args.seed)
+    text = format_report(report)
     if report.violations:
-        # Chaos smoke is a hard gate: any lost update, unreachable tuple, or
-        # unresumed crash fails the invocation, not just the printout.
-        raise SystemExit(text)
-    return text
-
-
-def _bench_storage_resilience(args: argparse.Namespace) -> str:
-    from repro.experiments.storage_resilience import (
-        format_storage_resilience,
-        run_storage_resilience,
-    )
-
-    report = run_storage_resilience(seed=args.seed)
-    text = format_storage_resilience(report)
-    if report.violations:
-        # Same hard gate as the simulated resilience run: a lost update, an
-        # unreachable tuple, or an unrestarted worker fails the invocation.
-        raise SystemExit(text)
-    return text
-
-
-def _bench_storage_migration(args: argparse.Namespace) -> str:
-    from repro.experiments.storage_migration import (
-        format_storage_migration,
-        run_storage_migration,
-    )
-
-    report = run_storage_migration(seed=args.seed)
-    text = format_storage_migration(report)
-    if report.violations:
-        # Hard gate: an unfinished resize, a lost update, a phantom or
-        # unreachable tuple, or an unfired kill fails the invocation.
+        # Chaos runs are a hard gate: a lost update, an unreachable tuple, an
+        # unresumed crash or an unfired kill fails the invocation, not just
+        # the printout.
         raise SystemExit(text)
     return text
 
@@ -404,9 +375,9 @@ BENCH_EXPERIMENTS: dict[str, Callable[[argparse.Namespace], str]] = {
     "online-drift": _bench_online_drift,
     "read-hot-drift": _bench_read_hot,
     "elastic": _bench_elastic,
-    "resilience": _bench_resilience,
-    "storage-resilience": _bench_storage_resilience,
-    "storage-migration": _bench_storage_migration,
+    "resilience": _bench_chaos,
+    "storage-resilience": _bench_chaos,
+    "storage-migration": _bench_chaos,
 }
 
 

@@ -15,7 +15,7 @@ from repro.core.strategies import (
 )
 from repro.core.cost import CostReport, evaluate_strategy
 from repro.core.validation import ValidationResult, validate_strategies
-from repro.core.schism import Schism, SchismOptions, SchismResult, run_schism, start_online
+from repro.core.schism import SchismOptions, start_online
 
 __all__ = [
     "CompositePartitioning",
@@ -26,16 +26,13 @@ __all__ = [
     "PartitioningStrategy",
     "RangePredicatePartitioning",
     "RoundRobinPartitioning",
-    "Schism",
     "SchismOptions",
-    "SchismResult",
     "TablePolicy",
     "ValidationResult",
     "evaluate_strategy",
     "hash_on",
     "range_on",
     "replicate",
-    "run_schism",
     "start_online",
     "validate_strategies",
 ]

@@ -1,207 +1,29 @@
-"""Legacy one-call facade over the staged pipeline (Section 2's five steps).
+"""Deploying a partitioning decision as a live system (:func:`start_online`).
 
-The pipeline itself lives in :mod:`repro.pipeline`: five named stages
+The offline pipeline lives in :mod:`repro.pipeline`: five named stages
 (``extract -> build_graph -> partition -> explain -> validate``) producing a
-serializable :class:`~repro.pipeline.plan.PartitionPlan`.  This module keeps
-the original entry points working:
-
-* :class:`Schism` / :func:`run_schism` — deprecated shims that run the full
-  pipeline and repackage the artifacts as a :class:`SchismResult`;
-* :class:`SchismResult` — the in-memory result blob of the old API, now
-  with :meth:`SchismResult.to_plan` as the bridge to the plan artifact;
-* :func:`start_online` — deploys a :class:`PartitionPlan` (preferred) or a
-  :class:`SchismResult` (deprecated) as a live, self-adapting system.
-
-``SchismOptions`` and ``PhaseTimings`` moved to :mod:`repro.pipeline.config`
-and are re-exported here unchanged.
+serializable :class:`~repro.pipeline.plan.PartitionPlan`.  This module turns
+such a plan into a running, self-adapting deployment.  ``SchismOptions`` and
+``PhaseTimings`` live in :mod:`repro.pipeline.config` and are re-exported
+here unchanged.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
-from repro.core.cost import CostReport
-from repro.core.strategies import PartitioningStrategy
-from repro.core.validation import ValidationResult
 from repro.engine.database import Database
-from repro.explain.explainer import Explanation
-from repro.graph.assignment import PartitionAssignment
-from repro.graph.builder import TupleGraph
 from repro.pipeline.config import PhaseTimings, SchismOptions
-from repro.pipeline.plan import PartitionPlan, build_plan
-from repro.pipeline.runner import Pipeline, PipelineRun
-from repro.pipeline.stages import PipelineState
+from repro.pipeline.plan import PartitionPlan
 from repro.workload.rwsets import AccessTrace
-from repro.workload.trace import Workload
 
 __all__ = [
     "PhaseTimings",
-    "Schism",
     "SchismOptions",
-    "SchismResult",
-    "run_schism",
     "start_online",
 ]
 
 
-@dataclass
-class SchismResult:
-    """Everything produced by one Schism run (legacy in-memory form).
-
-    New code should prefer the pipeline's :class:`PartitionPlan` — it is the
-    serializable subset of this object plus provenance — and reach the rest
-    through :class:`~repro.pipeline.runner.PipelineRun`.
-    """
-
-    options: SchismOptions
-    tuple_graph: TupleGraph
-    assignment: PartitionAssignment
-    explanation: Explanation
-    validation: ValidationResult
-    graph_cut: float
-    timings: PhaseTimings
-    training_trace: AccessTrace
-    test_trace: AccessTrace
-
-    @property
-    def recommended_strategy(self) -> PartitioningStrategy:
-        """The strategy selected by the final validation."""
-        return self.validation.winner
-
-    @property
-    def recommendation(self) -> str:
-        """Name of the selected strategy."""
-        return self.validation.recommendation
-
-    @property
-    def reports(self) -> dict[str, CostReport]:
-        """Cost reports of every candidate strategy on the test trace."""
-        return self.validation.reports
-
-    def distributed_fraction(self, strategy_name: str | None = None) -> float:
-        """Distributed-transaction fraction of a candidate (default: the winner)."""
-        if strategy_name is None:
-            return self.validation.winner_report.distributed_fraction
-        return self.validation.reports[strategy_name].distributed_fraction
-
-    def to_plan(self, created_by: str = "repro.core.schism") -> PartitionPlan:
-        """The run repackaged as the durable :class:`PartitionPlan` artifact."""
-        state = PipelineState(
-            database=None,  # type: ignore[arg-type] - not needed to build a plan
-            training_trace=self.training_trace,
-            test_trace=self.test_trace,
-            tuple_graph=self.tuple_graph,
-            assignment=self.assignment,
-            graph_cut=self.graph_cut,
-            explanation=self.explanation,
-            validation=self.validation,
-            timings=self.timings,
-        )
-        return build_plan(self.options, state, created_by=created_by)
-
-    def describe(self) -> str:
-        """Multi-line report of the run (all five phase timings included)."""
-        lines = [
-            f"Schism run: {self.options.num_partitions} partitions",
-            f"graph: {self.tuple_graph.num_nodes} nodes, {self.tuple_graph.num_edges} edges, "
-            f"{self.tuple_graph.num_tuples} tuples, {self.tuple_graph.num_transactions} transactions",
-            f"cut weight: {self.graph_cut:.1f}; replicated tuples: {self.assignment.replicated_count}",
-            f"timings: {self.timings.total:.2f}s "
-            f"(extract {self.timings.extraction:.2f}s, graph {self.timings.graph_build:.2f}s, "
-            f"partition {self.timings.partitioning:.2f}s, "
-            f"explain {self.timings.explanation:.2f}s, validate {self.timings.validation:.2f}s)",
-            "candidates:",
-            self.validation.describe(),
-        ]
-        return "\n".join(lines)
-
-
-def result_from_run(run: PipelineRun) -> SchismResult:
-    """Package a completed pipeline run as the legacy result object."""
-    state = run.state
-    assert (
-        state.tuple_graph is not None
-        and state.assignment is not None
-        and state.explanation is not None
-        and state.validation is not None
-        and state.graph_cut is not None
-        and state.training_trace is not None
-        and state.test_trace is not None
-    ), "pipeline run is incomplete"
-    return SchismResult(
-        options=run.options,
-        tuple_graph=state.tuple_graph,
-        assignment=state.assignment,
-        explanation=state.explanation,
-        validation=state.validation,
-        graph_cut=state.graph_cut,
-        timings=state.timings,
-        training_trace=state.training_trace,
-        test_trace=state.test_trace,
-    )
-
-
-class Schism:
-    """Deprecated one-call facade; use :class:`repro.pipeline.Pipeline`."""
-
-    def __init__(self, options: SchismOptions) -> None:
-        self.options = options
-
-    def run(
-        self,
-        database: Database,
-        training_workload: Workload,
-        test_workload: Workload | None = None,
-        training_trace: AccessTrace | None = None,
-        test_trace: AccessTrace | None = None,
-    ) -> SchismResult:
-        """Run the full pipeline (deprecated shim, behaviour unchanged).
-
-        Equivalent to ``Pipeline(options).run(...)`` followed by packaging
-        the artifacts into a :class:`SchismResult`.
-        """
-        warnings.warn(
-            "Schism.run is deprecated; use repro.pipeline.Pipeline.run and "
-            "consume the PartitionPlan it produces",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        run = Pipeline(self.options).run(
-            database,
-            training_workload,
-            test_workload,
-            training_trace=training_trace,
-            test_trace=test_trace,
-        )
-        return result_from_run(run)
-
-
-def run_schism(
-    database: Database,
-    training_workload: Workload,
-    num_partitions: int,
-    test_workload: Workload | None = None,
-    options: SchismOptions | None = None,
-) -> SchismResult:
-    """Deprecated convenience one-call entry point (see :class:`Schism`)."""
-    if options is None:
-        options = SchismOptions(num_partitions=num_partitions)
-    elif options.num_partitions != num_partitions:
-        raise ValueError("num_partitions argument and options.num_partitions disagree")
-    warnings.warn(
-        "run_schism is deprecated; use repro.pipeline.Pipeline",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Run the pipeline directly (not via the Schism shim) so this emits
-    # exactly one deprecation warning without filtering anything else out.
-    run = Pipeline(options).run(database, training_workload, test_workload)
-    return result_from_run(run)
-
-
 def start_online(
-    plan: "PartitionPlan | SchismResult",
+    plan: PartitionPlan,
     database: Database,
     online_options: "OnlineOptions | None" = None,
     lookup_default_policy: str = "hash",
@@ -226,9 +48,7 @@ def start_online(
     ----------
     plan:
         The :class:`PartitionPlan` to deploy — fresh from a pipeline run or
-        loaded from disk.  Passing a legacy :class:`SchismResult` still
-        works (deprecated): it is converted via :meth:`SchismResult.to_plan`
-        and its training trace is used for the warm-up.
+        loaded from disk.
     database:
         The loaded database the cluster is materialised from.
     online_options:
@@ -256,17 +76,6 @@ def start_online(
     from repro.online.controller import OnlineOptions, OnlineSchism
     from repro.routing.lookup import build_lookup_table
     from repro.routing.router import Router
-
-    if isinstance(plan, SchismResult):
-        warnings.warn(
-            "passing a SchismResult to start_online is deprecated; pass "
-            "result.to_plan() (and, if desired, warm_up_trace=result.training_trace)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if warm_up_trace is None:
-            warm_up_trace = plan.training_trace
-        plan = plan.to_plan()
 
     online_options = online_options or OnlineOptions()
     strategy = plan.deployment_strategy(lookup_default_policy)

@@ -7,7 +7,7 @@ coordinator deaths pinned to specific migration-journal records.  Building
 the plan yields a :class:`FaultInjector` whose randomness comes from
 :meth:`repro.utils.rng.SeededRng.fork`, so a scenario driven single-threaded
 replays byte-identically for a fixed seed — the property the resilience
-experiment and the chaos-smoke CI job assert.
+experiment and the chaos CI job assert.
 
 The clock is transaction-granular: the coordinator advances it once per
 attempted transaction, and crash windows are expressed in those ticks.

@@ -3,7 +3,9 @@
 Every experiment returns plain dataclasses/dicts and has a ``format_*``
 helper that prints the same rows/series the paper reports, so the benchmark
 suite and the examples can share them.  Scales default to laptop-friendly
-sizes; pass ``scale`` or explicit configs to approach paper sizes.
+sizes; pass ``scale`` or explicit configs to approach paper sizes.  The
+three chaos experiments share one harness (:mod:`repro.experiments.chaos`)
+and one formatter, :func:`format_report`.
 """
 
 from repro.experiments.figure1 import Figure1Row, format_figure1, run_figure1
@@ -27,24 +29,29 @@ from repro.experiments.online_drift import (
     run_online_drift,
     run_read_hot_drift,
 )
-from repro.experiments.resilience import (
-    ResilienceReport,
-    format_resilience,
-    run_resilience,
-)
+from repro.experiments.chaos import format_report
+from repro.experiments.resilience import ResilienceReport, run_resilience
 from repro.experiments.storage_migration import (
     StorageMigrationReport,
-    format_storage_migration,
     run_storage_migration,
 )
 from repro.experiments.storage_resilience import (
     StorageResilienceReport,
-    format_storage_resilience,
     run_storage_resilience,
 )
 from repro.experiments.table1 import Table1Row, format_table1, run_table1
 
+#: the chaos experiments by ``repro bench --experiment`` name; each runner
+#: takes ``seed`` and returns a report :func:`format_report` renders and
+#: whose ``violations`` gate the run.
+CHAOS_EXPERIMENTS = {
+    "resilience": run_resilience,
+    "storage-resilience": run_storage_resilience,
+    "storage-migration": run_storage_migration,
+}
+
 __all__ = [
+    "CHAOS_EXPERIMENTS",
     "FIGURE4_EXPERIMENTS",
     "ElasticScalingReport",
     "Figure1Row",
@@ -64,9 +71,7 @@ __all__ = [
     "format_figure6",
     "format_online_drift",
     "format_read_hot_drift",
-    "format_resilience",
-    "format_storage_migration",
-    "format_storage_resilience",
+    "format_report",
     "format_table1",
     "run_elastic_scaling",
     "run_figure1",

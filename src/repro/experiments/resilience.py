@@ -1,38 +1,32 @@
 """Crash-safe live migration under faults: the resilience experiment.
 
 An elastic 2 -> 4 resize runs **while** a sustained TPC-C workload commits
-through the 2PC coordinator, and a seeded
-:class:`~repro.distributed.faults.FaultPlan` makes the run hostile: a
+through the 2PC coordinator, one transaction at a time with retries, and a
+seeded :class:`~repro.distributed.faults.FaultPlan` makes the run hostile: a
 partition crashes mid-migration, messages drop with some probability, and
 the migration coordinator is killed at chosen journal records (the journal
-bytes survive in a sink; a fresh session resumes from them).  A single-node
-**oracle** database receives every committed transaction, so at the end the
-cluster can be audited row by row:
+bytes survive in a sink; a fresh session resumes from them).  Every
+committed transaction is mirrored into a single-node oracle, and the
+in-memory cluster is audited against it by the shared chaos harness
+(:mod:`repro.experiments.chaos`).  On top of the audit the run must show:
 
-* **zero lost updates** — every replica of every tuple equals the oracle row
-  (a dual-write window miss, a stale restored replica, or a dropped journal
-  step would each show up here);
-* **zero unreachable tuples** — every stored tuple is resident at its routed
-  placement, through the resize's modulus change and all crash/resume
-  cycles;
-* **tuple conservation** — the cluster stores exactly the oracle's tuple
-  set: nothing vanished, nothing was duplicated into a phantom;
-* **pacing reacted** — the SLO pacer demonstrably paused/throttled the
-  migration while the fault-driven abort rate exceeded its budget, and the
-  p99 latency proxy stayed bounded relative to quiet traffic;
+* **resize and resume** — the cluster ends at 4 partitions and every
+  coordinator death was resumed from the journal;
+* **pacing reacted** — the SLO pacer paused or throttled the migration while
+  the fault-driven abort rate exceeded its budget;
 * **byte determinism** — the whole scenario is a pure function of its seed:
   run twice, the final journal bytes and every counter must match exactly.
 
-Wired into ``python -m repro bench --experiment resilience`` and the
-``run_bench.py`` harness; the chaos-smoke CI job runs it over a seed matrix
-and fails on any lost-update or unreachable-tuple count above zero.
+Wired into ``python -m repro bench --experiment resilience``, the
+``run_bench.py`` harness and the ``chaos`` CI job.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.core.schism import start_online
 from repro.distributed.coordinator import TwoPhaseCommitCoordinator
 from repro.distributed.faults import (
     CoordinatorDeath,
@@ -40,6 +34,13 @@ from repro.distributed.faults import (
     FaultPlan,
     NodeCrash,
 )
+from repro.experiments.chaos import (
+    ChaosReport,
+    memory_residency,
+    schism_plan,
+    tpcc_inputs,
+)
+from repro.obs import quantile, trace_span
 from repro.online.controller import (
     MigrationPacer,
     OnlineOptions,
@@ -47,15 +48,14 @@ from repro.online.controller import (
 )
 from repro.online.migration import MemoryJournalSink
 from repro.online.monitor import MonitorOptions
-from repro.obs import trace_span
 from repro.online.repartitioner import RepartitionOptions
-from repro.pipeline import Pipeline, SchismOptions
-from repro.workload.trace import Workload
-from repro.workloads import TpccConfig, generate_tpcc
+
+#: the partition count the elastic resize grows the cluster to.
+RESIZE_TARGET = 4
 
 
-@dataclass
-class ResilienceReport:
+@dataclass(kw_only=True)
+class ResilienceReport(ChaosReport):
     """Outcome of one crash-safe-migration-under-faults run."""
 
     seed: int
@@ -71,11 +71,6 @@ class ResilienceReport:
     messages_dropped: int = 0
     messages_delayed: int = 0
     migration_steps_deferred: int = 0
-    #: consistency audits (the acceptance criteria; all must be zero/True).
-    lost_updates: int = 0
-    phantom_rows: int = 0
-    unreachable_tuples: int = 0
-    tuple_conservation: bool = True
     #: pacing telemetry (pauses + throttles must be positive: the abort-rate
     #: budget is sized so the injected faults push traffic over it).
     pacer_pauses: int = 0
@@ -92,21 +87,10 @@ class ResilienceReport:
     fingerprint: str = ""
     #: set by :func:`run_resilience` after replaying the scenario.
     deterministic: bool = False
-    kill_records: tuple[int, ...] = field(default_factory=tuple)
 
-    @property
-    def violations(self) -> list[str]:
-        """The acceptance criteria this run failed (empty = pass)."""
+    def checks(self) -> list[str]:
         failures = []
-        if self.lost_updates:
-            failures.append(f"{self.lost_updates} lost updates")
-        if self.phantom_rows:
-            failures.append(f"{self.phantom_rows} phantom rows")
-        if self.unreachable_tuples:
-            failures.append(f"{self.unreachable_tuples} unreachable tuples")
-        if not self.tuple_conservation:
-            failures.append("tuple set not conserved")
-        if self.final_partitions != 4:
+        if self.final_partitions != RESIZE_TARGET:
             failures.append(f"resize did not complete (k={self.final_partitions})")
         if self.coordinator_deaths == 0:
             failures.append("no coordinator death was injected")
@@ -118,12 +102,48 @@ class ResilienceReport:
             failures.append("run is not byte-deterministic")
         return failures
 
+    @property
+    def title(self) -> str:
+        return (
+            f"Resilience: {self.initial_partitions} -> {RESIZE_TARGET} elastic resize "
+            f"under TPC-C load with injected faults (seed {self.seed})"
+        )
 
-def _p99(samples: list[float]) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[max(0, -(-len(ordered) * 99 // 100) - 1)]
+    def rows(self) -> list[tuple[str, str]]:
+        return [
+            ("partitions", f"{self.initial_partitions} -> {self.final_partitions}"),
+            ("traffic", f"{self.transactions_committed} committed, "
+             f"{self.transactions_aborted} aborted attempts "
+             f"({self.retries_exhausted} exhausted retries)"),
+            ("faults", f"{self.coordinator_deaths} coordinator deaths "
+             f"(resumed {self.resumes}, journal records {self.journal_records}), "
+             f"{self.messages_dropped} messages dropped, {self.messages_delayed} "
+             f"delayed, {self.migration_steps_deferred} migration steps deferred"),
+            ("migration", f"{self.migration_copies} copies, {self.migration_drops} drops"),
+            ("pacing", f"{self.pacer_pauses} pauses, {self.pacer_throttles} throttles, "
+             f"{self.pacer_resumes} resumes; p99 latency {self.p99_latency_quiet:.0f} "
+             f"quiet -> {self.p99_latency_during:.0f} during migration"),
+            *super().rows(),
+            ("replay", f"deterministic={self.deterministic}"),
+        ]
+
+    def to_payload(self) -> dict:
+        """The run's counters for the bench report."""
+        return {
+            "seed": self.seed,
+            "transactions_committed": self.transactions_committed,
+            "transactions_aborted": self.transactions_aborted,
+            "coordinator_deaths": self.coordinator_deaths,
+            "resumes": self.resumes,
+            "journal_records": self.journal_records,
+            "migration_copies": self.migration_copies,
+            "migration_drops": self.migration_drops,
+            "pacer_pauses": self.pacer_pauses,
+            "pacer_throttles": self.pacer_throttles,
+            "lost_updates": self.lost_updates,
+            "unreachable_tuples": self.unreachable_tuples,
+            "fingerprint": self.fingerprint,
+        }
 
 
 def _run_scenario(
@@ -134,199 +154,148 @@ def _run_scenario(
     migration_start: int,
 ) -> ResilienceReport:
     """One deterministic pass of the hostile-resize scenario."""
-    from repro.core.schism import start_online
-
-    with trace_span(
-        "experiment.resilience", seed=seed, warehouses=warehouses
-    ):
-        return _run_scenario_traced(
-            seed, warehouses, training_transactions, live_transactions, migration_start
+    with trace_span("experiment.resilience", seed=seed, warehouses=warehouses):
+        inputs = tpcc_inputs(seed, warehouses, training_transactions, live_transactions)
+        run, plan = schism_plan(inputs, 2, "experiments.resilience")
+        options = OnlineOptions(
+            monitor=MonitorOptions(window_size=400, min_window_fill=100),
+            repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
+            pacing=PacingOptions(
+                abort_rate_budget=0.10,
+                p99_latency_budget=500.0,
+                min_samples=16,
+                max_steps=8,
+                throttled_steps=2,
+            ),
         )
+        controller = start_online(
+            plan, inputs.database, options, warm_up_trace=run.state.training_trace
+        )
+        # ``start_online`` copied every row into the cluster's partitions, so
+        # the source database is an independent single-node replica of the
+        # initial state: committing every successful transaction to it too
+        # makes it the oracle the final audit compares against.
+        oracle = inputs.database
 
+        faults = FaultPlan(
+            seed=seed,
+            # One storage partition goes dark mid-migration; copies and drops
+            # touching it defer, transactions on it abort-and-retry past the
+            # window (each attempt advances the clock).  The outage is the
+            # *transient* SLO pressure: the abort rate spikes over the pacer's
+            # budget (pause), then healthy post-outage commits slide the window
+            # back under it (throttle, then resume) so the migration completes.
+            node_crashes=(NodeCrash(partition=1, at_tick=migration_start + 30, duration=60),),
+            # The migration coordinator dies twice, at an early and a late
+            # journal record; both times the journal sink has the bytes.
+            coordinator_kills=(CoordinatorKill(at_record=3), CoordinatorKill(at_record=11)),
+            message_drop_rate=0.0005,
+            message_delay_rate=0.02,
+            message_delay=4.0,
+        )
+        injector = faults.build()
+        coordinator = TwoPhaseCommitCoordinator(controller.cluster, controller.router, injector)
+        pacer = MigrationPacer(options.pacing)
+        sink = MemoryJournalSink()
 
-def _run_scenario_traced(
-    seed: int,
-    warehouses: int,
-    training_transactions: int,
-    live_transactions: int,
-    migration_start: int,
-) -> ResilienceReport:
-    from repro.core.schism import start_online
+        report = ResilienceReport(
+            seed=seed,
+            initial_partitions=controller.num_partitions,
+            final_partitions=controller.num_partitions,
+        )
+        quiet_latencies: list[float] = []
+        during_latencies: list[float] = []
+        session = None
 
-    config = TpccConfig(
-        warehouses=warehouses,
-        districts_per_warehouse=2,
-        customers_per_district=8,
-        items=40,
-        seed=seed,
-    )
-    bundle = generate_tpcc(
-        config, num_transactions=training_transactions + live_transactions
-    )
-    training = Workload(
-        f"{bundle.name}-train", bundle.workload.transactions[:training_transactions]
-    )
-    live = bundle.workload.transactions[training_transactions:]
-    database = bundle.database
+        def tick_migration(idle: bool = False) -> None:
+            nonlocal session
+            if session is None or session.done:
+                return
+            try:
+                session.tick(idle=idle)
+            except CoordinatorDeath:
+                report.coordinator_deaths += 1
+                # The journal record that the kill targeted was persisted before
+                # the death fired: resume a fresh session from the sink's bytes.
+                session = controller.attach_session(
+                    sink.load(), sink=sink, pacer=pacer, injector=injector
+                )
+                report.resumes += 1
 
-    run = Pipeline(SchismOptions(num_partitions=2)).run(database, training)
-    plan = run.plan(created_by="experiments.resilience", workload=bundle.name)
-    options = OnlineOptions(
-        monitor=MonitorOptions(window_size=400, min_window_fill=100),
-        repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
-        pacing=PacingOptions(
-            abort_rate_budget=0.10,
-            p99_latency_budget=500.0,
-            min_samples=16,
-            max_steps=8,
-            throttled_steps=2,
-        ),
-    )
-    controller = start_online(
-        plan, database, options, warm_up_trace=run.state.training_trace
-    )
-    # ``start_online`` copied every row into the cluster's partitions, so the
-    # source database is an independent single-node replica of the initial
-    # state: committing every successful transaction to it too makes it the
-    # oracle the final audit compares against.
-    oracle = database
+        for index, transaction in enumerate(inputs.live):
+            if index == migration_start:
+                session = controller.begin_resize(
+                    RESIZE_TARGET, sink=sink, pacer=pacer, injector=injector, batch_size=8
+                )
+            # The pacer observes every attempt (aborted retries included): the
+            # final outcome alone would hide the abort pressure retries absorb.
+            outcome = coordinator.execute_with_retries(transaction, observer=pacer.observe)
+            if outcome.aborted:
+                report.retries_exhausted += 1
+            else:
+                for statement in transaction.statements:
+                    oracle.execute(statement)
+                (during_latencies if session is not None and not session.done
+                 else quiet_latencies).append(outcome.latency)
+            tick_migration()
+        # Traffic ended; finish the migration with *idle* ticks — there is no
+        # live load left to protect, so the pacer releases any pause instead of
+        # holding a frozen over-budget window forever.  Faults still apply.
+        for _ in range(10_000):
+            if session is None or session.done:
+                break
+            tick_migration(idle=True)
 
-    faults = FaultPlan(
-        seed=seed,
-        # One storage partition goes dark mid-migration; copies and drops
-        # touching it defer, transactions on it abort-and-retry past the
-        # window (each attempt advances the clock).  The outage is the
-        # *transient* SLO pressure: the abort rate spikes over the pacer's
-        # budget (pause), then healthy post-outage commits slide the window
-        # back under it (throttle, then resume) so the migration completes.
-        node_crashes=(NodeCrash(partition=1, at_tick=migration_start + 30, duration=60),),
-        # The migration coordinator dies twice, at an early and a late
-        # journal record; both times the journal sink has the bytes.
-        coordinator_kills=(CoordinatorKill(at_record=3), CoordinatorKill(at_record=11)),
-        message_drop_rate=0.0005,
-        message_delay_rate=0.02,
-        message_delay=4.0,
-    )
-    injector = faults.build()
-    coordinator = TwoPhaseCommitCoordinator(controller.cluster, controller.router, injector)
-    pacer = MigrationPacer(options.pacing)
-    sink = MemoryJournalSink()
+        report.transactions_committed = coordinator.statistics.transactions
+        report.transactions_aborted = coordinator.statistics.aborts
+        report.messages_dropped = injector.statistics.messages_dropped
+        report.messages_delayed = injector.statistics.messages_delayed
+        report.final_partitions = controller.num_partitions
+        report.pacer_pauses = pacer.pauses
+        report.pacer_throttles = pacer.throttles
+        report.pacer_resumes = pacer.resumes
+        report.p99_latency_quiet = quantile(quiet_latencies, 0.99)
+        report.p99_latency_during = quantile(during_latencies, 0.99)
+        if session is not None:
+            report.migration_steps_deferred = session.report.faults_deferred
+            report.journal_records = session.journal.records
+            # cumulative across crash/resume cycles (a resumed session's own
+            # report restarts at zero; the journal cursors do not).
+            report.migration_copies = session.journal.copies_done
+            report.migration_drops = session.journal.drops_done
 
-    report = ResilienceReport(
-        seed=seed,
-        initial_partitions=controller.num_partitions,
-        final_partitions=controller.num_partitions,
-        kill_records=tuple(kill.at_record for kill in faults.coordinator_kills),
-    )
-    quiet_latencies: list[float] = []
-    during_latencies: list[float] = []
-    session = None
+        report.audit(oracle, controller.router, memory_residency(controller.cluster))
 
-    def tick_migration(idle: bool = False) -> None:
-        nonlocal session
-        if session is None or session.done:
-            return
-        try:
-            session.tick(idle=idle)
-        except CoordinatorDeath:
-            report.coordinator_deaths += 1
-            # The journal record that the kill targeted was persisted before
-            # the death fired: resume a fresh session from the sink's bytes.
-            session = controller.attach_session(
-                sink.load(), sink=sink, pacer=pacer, injector=injector
-            )
-            report.resumes += 1
-
-    for index, transaction in enumerate(live):
-        if index == migration_start:
-            session = controller.begin_resize(
-                4, sink=sink, pacer=pacer, injector=injector, batch_size=8
-            )
-        # The pacer observes every attempt (aborted retries included): the
-        # final outcome alone would hide the abort pressure retries absorb.
-        outcome = coordinator.execute_with_retries(transaction, observer=pacer.observe)
-        if outcome.aborted:
-            report.retries_exhausted += 1
-        else:
-            for statement in transaction.statements:
-                oracle.execute(statement)
-            (during_latencies if session is not None and not session.done
-             else quiet_latencies).append(outcome.latency)
-        tick_migration()
-    # Traffic ended; finish the migration with *idle* ticks — there is no
-    # live load left to protect, so the pacer releases any pause instead of
-    # holding a frozen over-budget window forever.  Faults still apply.
-    for _ in range(10_000):
-        if session is None or session.done:
-            break
-        tick_migration(idle=True)
-
-    report.transactions_committed = coordinator.statistics.transactions
-    report.transactions_aborted = coordinator.statistics.aborts
-    report.messages_dropped = injector.statistics.messages_dropped
-    report.messages_delayed = injector.statistics.messages_delayed
-    report.final_partitions = controller.num_partitions
-    report.pacer_pauses = pacer.pauses
-    report.pacer_throttles = pacer.throttles
-    report.pacer_resumes = pacer.resumes
-    report.p99_latency_quiet = _p99(quiet_latencies)
-    report.p99_latency_during = _p99(during_latencies)
-    if session is not None:
-        report.migration_steps_deferred = session.report.faults_deferred
-        report.journal_records = session.journal.records
-        # cumulative across crash/resume cycles (a resumed session's own
-        # report restarts at zero; the journal cursors do not).
-        report.migration_copies = session.journal.copies_done
-        report.migration_drops = session.journal.drops_done
-
-    # -- audits ------------------------------------------------------------------------
-    cluster = controller.cluster
-    router = controller.router
-    cluster_tuples = set()
-    for tuple_id, locations in cluster.tuple_locations_map().items():
-        cluster_tuples.add(tuple_id)
-        oracle_row = oracle.get_row(tuple_id)
-        if oracle_row is None:
-            report.phantom_rows += 1
-            continue
-        for partition in locations:
-            if cluster.database(partition).get_row(tuple_id) != oracle_row:
-                report.lost_updates += 1
-        placement = router.strategy.partitions_for_tuple(tuple_id)
-        if not any(partition in locations for partition in placement):
-            report.unreachable_tuples += 1
-    report.tuple_conservation = cluster_tuples == set(oracle.all_tuple_ids())
-
-    digest = hashlib.sha256()
-    digest.update((sink.text or "").encode("utf-8"))
-    digest.update(
-        repr(
-            (
-                report.transactions_committed,
-                report.transactions_aborted,
-                report.retries_exhausted,
-                report.coordinator_deaths,
-                report.resumes,
-                report.messages_dropped,
-                report.messages_delayed,
-                report.migration_steps_deferred,
-                report.lost_updates,
-                report.phantom_rows,
-                report.unreachable_tuples,
-                report.tuple_conservation,
-                report.pacer_pauses,
-                report.pacer_throttles,
-                report.pacer_resumes,
-                report.p99_latency_quiet,
-                report.p99_latency_during,
-                report.journal_records,
-                report.migration_copies,
-                report.migration_drops,
-                report.final_partitions,
-            )
-        ).encode("utf-8")
-    )
-    report.fingerprint = digest.hexdigest()
+        digest = hashlib.sha256()
+        digest.update((sink.text or "").encode("utf-8"))
+        digest.update(
+            repr(
+                (
+                    report.transactions_committed,
+                    report.transactions_aborted,
+                    report.retries_exhausted,
+                    report.coordinator_deaths,
+                    report.resumes,
+                    report.messages_dropped,
+                    report.messages_delayed,
+                    report.migration_steps_deferred,
+                    report.lost_updates,
+                    report.phantom_rows,
+                    report.unreachable_tuples,
+                    report.tuple_conservation,
+                    report.pacer_pauses,
+                    report.pacer_throttles,
+                    report.pacer_resumes,
+                    report.p99_latency_quiet,
+                    report.p99_latency_during,
+                    report.journal_records,
+                    report.migration_copies,
+                    report.migration_drops,
+                    report.final_partitions,
+                )
+            ).encode("utf-8")
+        )
+        report.fingerprint = digest.hexdigest()
     return report
 
 
@@ -352,34 +321,3 @@ def run_resilience(
     first.deterministic = first.fingerprint == second.fingerprint
     return first
 
-
-def format_resilience(report: ResilienceReport) -> str:
-    """Render the resilience run as text."""
-    lines = [
-        "Resilience: 2 -> 4 elastic resize under TPC-C load with injected faults",
-        f"  seed {report.seed}: partitions {report.initial_partitions} -> "
-        f"{report.final_partitions}",
-        f"  traffic: {report.transactions_committed} committed, "
-        f"{report.transactions_aborted} aborted attempts "
-        f"({report.retries_exhausted} exhausted retries)",
-        f"  faults: {report.coordinator_deaths} coordinator deaths "
-        f"(resumed {report.resumes}, journal records {report.journal_records}), "
-        f"{report.messages_dropped} messages dropped, "
-        f"{report.messages_delayed} delayed, "
-        f"{report.migration_steps_deferred} migration steps deferred",
-        f"  migration: {report.migration_copies} copies, "
-        f"{report.migration_drops} drops",
-        f"  pacing: {report.pacer_pauses} pauses, {report.pacer_throttles} "
-        f"throttles, {report.pacer_resumes} resumes; p99 latency "
-        f"{report.p99_latency_quiet:.0f} quiet -> {report.p99_latency_during:.0f} "
-        f"during migration",
-        f"  audits: {report.lost_updates} lost updates, {report.phantom_rows} "
-        f"phantom rows, {report.unreachable_tuples} unreachable tuples, "
-        f"conserved={report.tuple_conservation}, "
-        f"deterministic={report.deterministic}",
-    ]
-    violations = report.violations
-    lines.append(
-        "  PASS" if not violations else "  FAIL: " + "; ".join(violations)
-    )
-    return "\n".join(lines)

@@ -6,10 +6,11 @@ TPC-C deployment runs on SQLite partition workers while a journaled
 ``old_partitions`` to ``new_partitions`` *during* closed-loop traffic.  The
 fault schedule SIGKILLs two partition workers and the migration coordinator
 itself mid-copy; the migration must resume from its durable journal (the
-workers from the supervisor's restarts) and the surviving SQLite files must
-pass the row-by-row oracle audits of the storage-resilience experiment:
-zero lost committed updates, zero phantom rows, zero unreachable tuples,
-and exact tuple conservation.
+workers from the supervisor's restarts).  The shared chaos harness
+(:mod:`repro.experiments.chaos`) audits the surviving SQLite files row by
+row against the oracle and applies the storage checks; this scenario adds
+its own: the resize completed every planned copy and drop, and the
+coordinator kill fired and was re-attached from the journal.
 
 Determinism is a design requirement — CI byte-compares two runs' metric
 snapshots — and real thread interleavings are not deterministic, so the
@@ -45,54 +46,47 @@ run is shaped to make every **counted** quantity interleaving-independent:
 
 from __future__ import annotations
 
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.witness import WitnessedLockManager
 from repro.distributed.faults import (
     CoordinatorDeath,
     CoordinatorKill,
     FaultPlan,
     WorkerKill,
 )
+from repro.experiments.chaos import (
+    StorageChaosReport,
+    deploy,
+    scratch_directory,
+    sqlite_deployment,
+    tpcc_inputs,
+)
 from repro.obs import trace_span
 from repro.online.controller import MigrationPacer, PacingOptions
 from repro.online.migration import FileJournalSink
-from repro.pipeline import Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
-from repro.routing.router import Router
 from repro.storage import (
     ClosedLoopDriver,
+    DriverReport,
     RetryOptions,
-    SqliteStorageCluster,
-    StorageCoordinator,
     StorageMigrationSession,
     StorageMigrator,
     plan_storage_resize,
 )
-from repro.experiments.storage_resilience import _audit_point
-from repro.workload.trace import Workload
-from repro.workloads import TpccConfig, generate_tpcc
 
 #: how long (seconds) a barrier waits for a killed worker's replacement.
 RESTART_WAIT_S = 30.0
 
 
-@dataclass
-class StorageMigrationReport:
+@dataclass(kw_only=True)
+class StorageMigrationReport(StorageChaosReport):
     """Outcome of one resize-under-chaos run."""
 
     seed: int
     old_partitions: int
     new_partitions: int
-    #: live traffic accounting (summed over the rounds).
-    total: int = 0
-    committed: int = 0
-    aborted: int = 0
-    distributed_fraction: float = 0.0
     #: migration accounting (from the final journal).
     final_state: str = "planned"
     copies_planned: int = 0
@@ -101,82 +95,44 @@ class StorageMigrationReport:
     drops_done: int = 0
     journal_records: int = 0
     ticks: int = 0
-    #: chaos accounting.
-    worker_kills_planned: int = 0
-    worker_kills_fired: int = 0
+    #: migration-coordinator chaos accounting.
     coordinator_kills_planned: int = 0
     coordinator_deaths: int = 0
     migrator_reattaches: int = 0
-    restarts: int = 0
-    #: consistency audits over the surviving SQLite files.
-    lost_updates: int = 0
-    phantom_rows: int = 0
-    unreachable_tuples: int = 0
-    tuple_conservation: bool = True
-    #: runtime lock-order witness over the shared client/migrator manager
-    #: (must be zero: no executed acquisition broke the global sorted order).
-    lock_acquisitions: int = 0
-    lock_order_out_of_order: int = 0
-    #: wall-clock measurements (volatile; excluded from the bench payload).
-    wall_s: float = 0.0
-    throughput_txn_s: float = 0.0
-    latency_p99_ms: float = 0.0
 
-    @property
-    def label(self) -> str:
-        return f"resize-{self.old_partitions}to{self.new_partitions}"
-
-    @property
-    def violations(self) -> list[str]:
-        """Acceptance failures (empty = the resize survived the chaos)."""
+    def checks(self) -> list[str]:
         failures = []
         if self.final_state != "completed":
-            failures.append(f"{self.label}: migration ended {self.final_state!r}")
+            failures.append(f"migration ended {self.final_state!r}")
         if self.copies_done != self.copies_planned:
-            failures.append(
-                f"{self.label}: {self.copies_done}/{self.copies_planned} copies executed"
-            )
+            failures.append(f"{self.copies_done}/{self.copies_planned} copies executed")
         if self.drops_done != self.drops_planned:
-            failures.append(
-                f"{self.label}: {self.drops_done}/{self.drops_planned} drops executed"
-            )
-        if self.lost_updates:
-            failures.append(f"{self.label}: {self.lost_updates} lost updates")
-        if self.phantom_rows:
-            failures.append(f"{self.label}: {self.phantom_rows} phantom rows")
-        if self.unreachable_tuples:
-            failures.append(
-                f"{self.label}: {self.unreachable_tuples} unreachable tuples"
-            )
-        if not self.tuple_conservation:
-            failures.append(f"{self.label}: tuple set not conserved")
-        if self.worker_kills_fired != self.worker_kills_planned:
-            failures.append(
-                f"{self.label}: {self.worker_kills_fired}/{self.worker_kills_planned} "
-                "worker kills fired"
-            )
+            failures.append(f"{self.drops_done}/{self.drops_planned} drops executed")
         if self.coordinator_deaths != self.coordinator_kills_planned:
             failures.append(
-                f"{self.label}: {self.coordinator_deaths}/{self.coordinator_kills_planned} "
+                f"{self.coordinator_deaths}/{self.coordinator_kills_planned} "
                 "coordinator kills fired"
             )
         if self.coordinator_deaths and not self.migrator_reattaches:
-            failures.append(f"{self.label}: coordinator died but never re-attached")
-        if self.restarts < self.worker_kills_fired:
-            failures.append(
-                f"{self.label}: {self.worker_kills_fired} kills but only "
-                f"{self.restarts} restarts"
-            )
-        if self.committed == 0:
-            failures.append(f"{self.label}: no transaction committed")
-        if self.committed + self.aborted != self.total:
-            failures.append(f"{self.label}: run did not complete every transaction")
-        if self.lock_order_out_of_order:
-            failures.append(
-                f"{self.label}: {self.lock_order_out_of_order} out-of-order "
-                "lock acquisition(s) witnessed"
-            )
-        return failures
+            failures.append("coordinator died but never re-attached")
+        return super().checks() + failures
+
+    @property
+    def title(self) -> str:
+        return (
+            f"Live resize on real storage: {self.old_partitions} -> "
+            f"{self.new_partitions} partitions under kills (seed {self.seed})"
+        )
+
+    def rows(self) -> list[tuple[str, str]]:
+        return [
+            ("migration", f"{self.final_state}, copies {self.copies_done}/"
+             f"{self.copies_planned}, drops {self.drops_done}/{self.drops_planned}, "
+             f"journal records {self.journal_records}, ticks {self.ticks}"),
+            ("coordinator", f"{self.coordinator_deaths}/{self.coordinator_kills_planned} "
+             f"kills fired, {self.migrator_reattaches} re-attaches"),
+            *super().rows(),
+        ]
 
     def to_payload(self) -> dict:
         """Deterministic summary for the bench report (no wall-clock fields)."""
@@ -195,14 +151,11 @@ class StorageMigrationReport:
             "copies_done": self.copies_done,
             "drops_done": self.drops_done,
             "journal_records": self.journal_records,
-            "worker_kills_fired": self.worker_kills_fired,
+            "worker_kills_fired": self.kills_fired,
             "coordinator_deaths": self.coordinator_deaths,
             "migrator_reattaches": self.migrator_reattaches,
             "restarts": self.restarts,
-            "lost_updates": self.lost_updates,
-            "phantom_rows": self.phantom_rows,
-            "unreachable_tuples": self.unreachable_tuples,
-            "tuple_conservation": self.tuple_conservation,
+            **self.audit_payload(),
             "lock_order_out_of_order": self.lock_order_out_of_order,
             "violations": self.violations,
         }
@@ -242,284 +195,168 @@ def run_storage_migration(
     report's :attr:`~StorageMigrationReport.violations` is the CI gate.
     """
     retry_options = retry_options or RetryOptions(timeout_ms=500, max_retries=4)
+    old_k, new_k = old_partitions, new_partitions
     report = StorageMigrationReport(
+        label=f"resize-{old_k}to{new_k}",
         seed=seed,
-        old_partitions=old_partitions,
-        new_partitions=new_partitions,
-        worker_kills_planned=2,
-        coordinator_kills_planned=1,
+        old_partitions=old_k,
+        new_partitions=new_k,
     )
     with trace_span(
         "experiment.storage_migration",
         seed=seed,
-        old_partitions=old_partitions,
-        new_partitions=new_partitions,
-    ):
-        cleanup = None
-        if directory is None:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-storage-mig-")
-            directory = cleanup.name
-        try:
-            _run(
-                report,
-                Path(directory),
-                seed=seed,
-                warehouses=warehouses,
-                training_transactions=training_transactions,
-                live_transactions=live_transactions,
-                num_clients=num_clients,
-                rounds=rounds,
-                batch_size=batch_size,
-                coordinator_kill_record=coordinator_kill_record,
-                p99_budget_ms=p99_budget_ms,
-                abort_budget=abort_budget,
-                retry_options=retry_options,
-            )
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
-    return report
-
-
-def _run(
-    report: StorageMigrationReport,
-    base: Path,
-    *,
-    seed: int,
-    warehouses: int,
-    training_transactions: int,
-    live_transactions: int,
-    num_clients: int,
-    rounds: int,
-    batch_size: int,
-    coordinator_kill_record: int,
-    p99_budget_ms: float | None,
-    abort_budget: float | None,
-    retry_options: RetryOptions,
-) -> None:
-    """The orchestration body (split out so the temp-dir wrapper stays small)."""
-    old_k, new_k = report.old_partitions, report.new_partitions
-
-    # -- deploy the starting cluster at old_k via the Schism plan ------------------
-    config = TpccConfig(
-        warehouses=warehouses,
-        districts_per_warehouse=2,
-        customers_per_district=8,
-        items=40,
-        seed=seed,
-    )
-    bundle = generate_tpcc(
-        config, num_transactions=training_transactions + live_transactions
-    )
-    training = Workload(
-        f"{bundle.name}-train",
-        bundle.workload.transactions[:training_transactions],
-    )
-    live = bundle.workload.transactions[training_transactions:]
-    database = bundle.database
-
-    run = Pipeline(SchismOptions(num_partitions=old_k)).run(database, training)
-    plan = run.plan(created_by="experiments.storage_migration", workload=bundle.name)
-    strategy = plan.deployment_strategy("hash")
-    lookup_table = build_lookup_table(strategy.assignment)
-    router = Router(strategy, database.schema, lookup_table)
-
-    faults = FaultPlan(
-        seed=seed,
-        coordinator_kills=(CoordinatorKill(at_record=coordinator_kill_record),),
-        # at_commit doubles as the *barrier index* here: kill partition 0
-        # after round 1 and the highest new partition after round 2.
-        worker_kills=(
-            WorkerKill(partition=0, at_commit=1),
-            WorkerKill(partition=new_k - 1, at_commit=2),
-        ),
-    )
-    injector = faults.build()
-
-    cluster = SqliteStorageCluster.from_database(base / "cluster", database, strategy)
-    cluster.start()
-    started = time.monotonic()
-    try:
-        coordinator = StorageCoordinator(
-            cluster, router, oracle=database, retry_options=retry_options, seed=seed
-        )
-        # Runtime lock-order witness over the shared manager: the migrator is
-        # handed the *same* (wrapped) instance below, so client commits and
-        # migration batches are certified against one acquisition graph.
-        witness = WitnessedLockManager(coordinator.locks)
-        coordinator.locks = witness
-
-        # -- plan the resize and attach the journaled migrator ---------------------
-        journal = plan_storage_resize(
-            cluster,
-            new_k,
-            migration_id=f"resize-{old_k}to{new_k}-seed{seed}",
-            retry_options=retry_options,
+        old_partitions=old_k,
+        new_partitions=new_k,
+    ), scratch_directory(directory, "repro-storage-mig-") as base:
+        inputs = tpcc_inputs(seed, warehouses, training_transactions, live_transactions)
+        strategy, router = deploy(inputs, "schism", old_k, "experiments.storage_migration")
+        faults = FaultPlan(
             seed=seed,
-        )
-        report.copies_planned = len(journal.plan.copies)
-        report.drops_planned = len(journal.plan.drops)
-        sink = FileJournalSink(base / "resize.journal")
-        sink.write(journal.dumps())
-        pacer = MigrationPacer(
-            PacingOptions(
-                max_steps=batch_size,
-                throttled_steps=max(1, batch_size // 2),
-                p99_latency_budget=p99_budget_ms,
-                abort_rate_budget=abort_budget,
+            coordinator_kills=(CoordinatorKill(at_record=coordinator_kill_record),),
+            # at_commit doubles as the *barrier index* here: kill partition 0
+            # after round 1 and the highest new partition after round 2.
+            worker_kills=(
+                WorkerKill(partition=0, at_commit=1),
+                WorkerKill(partition=new_k - 1, at_commit=2),
             ),
-            volatile=True,
         )
-
-        def make_session(j) -> StorageMigrationSession:
-            migrator = StorageMigrator(
+        report.coordinator_kills_planned = len(faults.coordinator_kills)
+        with sqlite_deployment(
+            report, base / "cluster", inputs, strategy, router, faults, retry_options, seed
+        ) as (cluster, coordinator, injector):
+            started = time.monotonic()
+            # -- plan the resize and attach the journaled migrator ---------------
+            journal = plan_storage_resize(
                 cluster,
-                router,
-                j,
-                sink=sink,
-                batch_size=batch_size,
-                injector=injector,
-                locks=coordinator.locks,
+                new_k,
+                migration_id=f"resize-{old_k}to{new_k}-seed{seed}",
                 retry_options=retry_options,
                 seed=seed,
             )
-            return StorageMigrationSession(migrator, pacer=pacer)
-
-        holder = {"session": make_session(journal), "dead": False}
-        tick_lock = threading.Lock()
-
-        def reattach() -> None:
-            """Restart the "migration coordinator" from the durable journal."""
-            holder["session"] = make_session(sink.load())
-            holder["dead"] = False
-            report.migrator_reattaches += 1
-
-        def in_round_safe(j) -> bool:
-            """True while a tick cannot cross a phase boundary (see module doc)."""
-            return (
-                j.state == "copying"
-                and j.copies_done + batch_size < len(j.plan.copies)
-            ) or (
-                j.state == "dropping"
-                and j.drops_done + batch_size < len(j.plan.drops)
+            report.copies_planned = len(journal.plan.copies)
+            report.drops_planned = len(journal.plan.drops)
+            sink = FileJournalSink(base / "resize.journal")
+            sink.write(journal.dumps())
+            pacer = MigrationPacer(
+                PacingOptions(
+                    max_steps=batch_size,
+                    throttled_steps=max(1, batch_size // 2),
+                    p99_latency_budget=p99_budget_ms,
+                    abort_rate_budget=abort_budget,
+                ),
+                volatile=True,
             )
 
-        def on_commit(_commits: int) -> None:
-            with tick_lock:
-                session = holder["session"]
-                if holder["dead"] or session.done:
-                    return
-                if not in_round_safe(session.journal):
-                    return
-                try:
-                    session.tick()
-                except CoordinatorDeath:
-                    holder["dead"] = True
+            def make_session(j) -> StorageMigrationSession:
+                # The migrator shares the coordinator's (witnessed) lock
+                # manager, so client commits and migration batches are
+                # certified against one acquisition graph.
+                migrator = StorageMigrator(
+                    cluster,
+                    router,
+                    j,
+                    sink=sink,
+                    batch_size=batch_size,
+                    injector=injector,
+                    locks=coordinator.locks,
+                    retry_options=retry_options,
+                    seed=seed,
+                )
+                return StorageMigrationSession(migrator, pacer=pacer)
 
-        def barrier(index: int) -> None:
-            """Between rounds: fire kills, revive the migrator, cross phases."""
-            for kill in injector.due_worker_kills(index):
-                cluster.kill_worker(kill.partition)
-                deadline = time.monotonic() + RESTART_WAIT_S
-                while not cluster.supervisor.ping(kill.partition):
-                    if time.monotonic() > deadline:
-                        raise RuntimeError(
-                            f"partition {kill.partition} not restarted at barrier {index}"
-                        )
-                    time.sleep(0.02)
-            if holder["dead"]:
-                reattach()
-            # Advance through any phase transition (window open, flip, window
-            # close, resize finalisation) while no client traffic is flowing,
-            # stopping as soon as the journal is back in mid-phase territory.
-            while True:
-                session = holder["session"]
-                if session.done or in_round_safe(session.journal):
-                    return
+            holder = {"session": make_session(journal), "dead": False}
+            tick_lock = threading.Lock()
+
+            def reattach() -> None:
+                """Restart the "migration coordinator" from the durable journal."""
+                holder["session"] = make_session(sink.load())
+                holder["dead"] = False
+                report.migrator_reattaches += 1
+
+            def in_round_safe(j) -> bool:
+                """True while a tick cannot cross a phase boundary (see module doc)."""
+                return (
+                    j.state == "copying"
+                    and j.copies_done + batch_size < len(j.plan.copies)
+                ) or (
+                    j.state == "dropping"
+                    and j.drops_done + batch_size < len(j.plan.drops)
+                )
+
+            def on_commit(_commits: int) -> None:
+                with tick_lock:
+                    session = holder["session"]
+                    if holder["dead"] or session.done:
+                        return
+                    if not in_round_safe(session.journal):
+                        return
+                    try:
+                        session.tick()
+                    except CoordinatorDeath:
+                        holder["dead"] = True
+
+            def barrier(index: int) -> None:
+                """Between rounds: fire kills, revive the migrator, cross phases."""
+                for kill in injector.due_worker_kills(index):
+                    cluster.kill_worker(kill.partition)
+                    deadline = time.monotonic() + RESTART_WAIT_S
+                    while not cluster.supervisor.ping(kill.partition):
+                        if time.monotonic() > deadline:
+                            raise RuntimeError(
+                                f"partition {kill.partition} not restarted at barrier {index}"
+                            )
+                        time.sleep(0.02)
+                if holder["dead"]:
+                    reattach()
+                # Advance through any phase transition (window open, flip,
+                # window close, resize finalisation) while no client traffic
+                # is flowing, stopping as soon as the journal is back in
+                # mid-phase territory.
+                while True:
+                    session = holder["session"]
+                    if session.done or in_round_safe(session.journal):
+                        return
+                    try:
+                        session.tick(idle=True)
+                    except CoordinatorDeath:
+                        reattach()
+
+            driver = ClosedLoopDriver(
+                coordinator,
+                num_clients=num_clients,
+                on_commit=on_commit,
+                on_outcome=pacer.record,
+            )
+
+            # -- the run: barrier, round, barrier, round, ... then drain ---------
+            # The rounds' counts and latencies pool into one report, so the
+            # p99 is the run's p99, not a maximum over per-round p99s.
+            traffic = DriverReport()
+            barrier(0)  # opens the dual-write window before any live traffic
+            for index, segment in enumerate(_split_rounds(inputs.live, rounds)):
+                part = driver.run(segment, txn_id_prefix=f"live-r{index}")
+                traffic.total += part.total
+                traffic.committed += part.committed
+                traffic.aborted += part.aborted
+                traffic.distributed_total += part.distributed_total
+                traffic.write_fast_fails += part.write_fast_fails
+                traffic.read_fallbacks += part.read_fallbacks
+                traffic.in_doubt_completed += part.in_doubt_completed
+                traffic.latencies_ms += part.latencies_ms
+                barrier(index + 1)
+            while not holder["session"].done:
                 try:
-                    session.tick(idle=True)
+                    holder["session"].run_to_completion()
                 except CoordinatorDeath:
                     reattach()
 
-        driver = ClosedLoopDriver(
-            coordinator,
-            num_clients=num_clients,
-            on_commit=on_commit,
-            on_outcome=pacer.record,
-        )
-
-        # -- the run: barrier, round, barrier, round, ... then drain ---------------
-        barrier(0)  # opens the dual-write window before any live traffic
-        for index, segment in enumerate(_split_rounds(live, rounds)):
-            round_report = driver.run(segment, txn_id_prefix=f"live-r{index}")
-            report.total += round_report.total
-            report.committed += round_report.committed
-            report.aborted += round_report.aborted
-            report.distributed_fraction += round_report.distributed_total
-            report.latency_p99_ms = max(
-                report.latency_p99_ms, round_report.latency_quantile(0.99)
-            )
-            barrier(index + 1)
-        while not holder["session"].done:
-            try:
-                holder["session"].run_to_completion()
-            except CoordinatorDeath:
-                reattach()
-
-        final = holder["session"].journal
-        report.final_state = final.state
-        report.copies_done = final.copies_done
-        report.drops_done = final.drops_done
-        report.journal_records = final.records
-        report.ticks = holder["session"].ticks
-        report.distributed_fraction = (
-            report.distributed_fraction / report.total if report.total else 0.0
-        )
-        report.worker_kills_fired = injector.statistics.workers_killed
-        report.coordinator_deaths = injector.statistics.coordinator_deaths
-        report.restarts = cluster.restart_count()
-        report.lock_acquisitions = witness.acquisitions
-        report.lock_order_out_of_order = witness.out_of_order
-        report.wall_s = time.monotonic() - started
-        report.throughput_txn_s = (
-            report.committed / report.wall_s if report.wall_s > 0 else 0.0
-        )
-    finally:
-        cluster.close()
-
-    _audit_point(cluster, router, database, report)
-
-
-def format_storage_migration(report: StorageMigrationReport) -> str:
-    """Human-readable summary (wall-clock lines marked volatile)."""
-    lines = [
-        f"Live resize on real storage: {report.old_partitions} -> "
-        f"{report.new_partitions} partitions under kills (seed {report.seed})",
-        "",
-        f"  migration : {report.final_state}  "
-        f"copies {report.copies_done}/{report.copies_planned}  "
-        f"drops {report.drops_done}/{report.drops_planned}  "
-        f"journal records {report.journal_records}  ticks {report.ticks}",
-        f"  traffic   : {report.total} txns  {report.committed} committed  "
-        f"{report.aborted} aborted  distributed {report.distributed_fraction:.1%}",
-        f"  chaos     : {report.worker_kills_fired} worker kills  "
-        f"{report.coordinator_deaths} coordinator deaths  "
-        f"{report.migrator_reattaches} re-attaches  {report.restarts} restarts",
-        f"  audits    : lost {report.lost_updates}  phantom {report.phantom_rows}  "
-        f"unreachable {report.unreachable_tuples}  "
-        f"conserved {report.tuple_conservation}",
-        "",
-        f"  wall-clock (volatile): {report.wall_s:.2f}s  "
-        f"{report.throughput_txn_s:.1f} txn/s  p99 {report.latency_p99_ms:.1f} ms",
-        "",
-    ]
-    if report.violations:
-        lines.append("VIOLATIONS:")
-        lines.extend(f"  {violation}" for violation in report.violations)
-    else:
-        lines.append(
-            "audits clean: resize completed across two worker kills and a "
-            "coordinator kill with zero lost updates, phantoms, or "
-            "unreachable tuples"
-        )
-    return "\n".join(lines)
+            final = holder["session"].journal
+            report.final_state = final.state
+            report.copies_done = final.copies_done
+            report.drops_done = final.drops_done
+            report.journal_records = final.records
+            report.ticks = holder["session"].ticks
+            report.coordinator_deaths = injector.statistics.coordinator_deaths
+            traffic.wall_s = time.monotonic() - started
+            report.record_traffic(traffic)
+    return report

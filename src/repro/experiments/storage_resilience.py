@@ -5,19 +5,12 @@ every partition a SQLite file owned by a worker process — under sustained
 concurrent closed-loop clients, while the seeded
 :class:`~repro.distributed.faults.FaultPlan` ``SIGKILL``\\ s two worker
 processes at chosen commit ticks.  The supervisor must restart every killed
-worker (WAL recovery on reopen), the coordinator's retry/backoff/fallback
-machinery must ride through the outage windows, and at the end the files on
-disk are audited row by row against a single-node oracle that mirrored every
-committed transaction:
-
-* **zero lost committed updates** — each replica of each tuple equals the
-  oracle row (a write acknowledged but not durably applied, or applied twice
-  through a retry, would show up here);
-* **zero unreachable tuples** — every stored tuple is resident at a
-  partition its routed placement names;
-* **tuple conservation** — the cluster's tuple set equals the oracle's;
-* **supervision** — every injected kill was matched by a supervisor restart
-  and the run completed (no wedged clients).
+worker (WAL recovery on reopen) and the coordinator's retry/backoff/fallback
+machinery must ride through the outage windows.  At the end the shared chaos
+harness (:mod:`repro.experiments.chaos`) audits the files on disk row by row
+against the oracle and gates on the storage checks: every planned kill fired
+and was restarted, every transaction finished, and the lock-order witness
+saw no out-of-order acquisition.
 
 Each point measures its distributed-transaction fraction, so the run
 doubles as a Figure-1-style wall-clock probe: the same workload deployed
@@ -29,91 +22,27 @@ out of the deterministic payload the bench harness records.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.distributed.faults import FaultPlan, WorkerKill
-from repro.obs import trace_span
-from repro.pipeline import Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
-from repro.analysis.witness import WitnessedLockManager
-from repro.routing.router import Router
-from repro.storage import (
-    ClosedLoopDriver,
-    RetryOptions,
-    SqliteStorageCluster,
-    StorageCoordinator,
+from repro.experiments.chaos import (
+    StorageChaosReport,
+    deploy,
+    scratch_directory,
+    sqlite_deployment,
+    tpcc_inputs,
 )
-from repro.workload.trace import Workload
-from repro.workloads import TpccConfig, generate_tpcc
+from repro.obs import trace_span
+from repro.storage import ClosedLoopDriver, RetryOptions
 
 
-@dataclass
-class StoragePointReport:
+@dataclass(kw_only=True)
+class StoragePointReport(StorageChaosReport):
     """One (strategy, partition count) deployment under the chaos schedule."""
 
-    label: str
     strategy: str
     num_partitions: int
-    #: traffic accounting (deterministic given the interleaving-independent
-    #: audits; individual counts like fallbacks may vary run to run).
-    total: int = 0
-    committed: int = 0
-    aborted: int = 0
-    write_fast_fails: int = 0
-    read_fallbacks: int = 0
-    in_doubt_completed: int = 0
-    distributed_fraction: float = 0.0
-    #: chaos accounting.
-    kills_planned: int = 0
-    kills_fired: int = 0
-    restarts: int = 0
-    #: consistency audits over the SQLite files (must all be zero/True).
-    lost_updates: int = 0
-    phantom_rows: int = 0
-    unreachable_tuples: int = 0
-    tuple_conservation: bool = True
-    #: runtime lock-order witness (must be zero: every executed acquisition
-    #: respected the global sorted order).
-    lock_acquisitions: int = 0
-    lock_order_out_of_order: int = 0
-    #: wall-clock measurements (volatile; excluded from the bench payload).
-    wall_s: float = 0.0
-    throughput_txn_s: float = 0.0
-    latency_p50_ms: float = 0.0
-    latency_p99_ms: float = 0.0
-
-    @property
-    def violations(self) -> list[str]:
-        """Acceptance failures of this point (empty = pass)."""
-        failures = []
-        if self.lost_updates:
-            failures.append(f"{self.label}: {self.lost_updates} lost updates")
-        if self.phantom_rows:
-            failures.append(f"{self.label}: {self.phantom_rows} phantom rows")
-        if self.unreachable_tuples:
-            failures.append(f"{self.label}: {self.unreachable_tuples} unreachable tuples")
-        if not self.tuple_conservation:
-            failures.append(f"{self.label}: tuple set not conserved")
-        if self.kills_fired != self.kills_planned:
-            failures.append(
-                f"{self.label}: {self.kills_fired}/{self.kills_planned} planned kills fired"
-            )
-        if self.restarts < self.kills_fired:
-            failures.append(
-                f"{self.label}: {self.kills_fired} kills but only {self.restarts} restarts"
-            )
-        if self.committed == 0:
-            failures.append(f"{self.label}: no transaction committed")
-        if self.committed + self.aborted != self.total:
-            failures.append(f"{self.label}: run did not complete every transaction")
-        if self.lock_order_out_of_order:
-            failures.append(
-                f"{self.label}: {self.lock_order_out_of_order} out-of-order "
-                "lock acquisition(s) witnessed"
-            )
-        return failures
 
     def to_payload(self) -> dict:
         """Deterministic summary for the bench report (no wall-clock fields)."""
@@ -127,10 +56,7 @@ class StoragePointReport:
             "distributed_fraction": round(self.distributed_fraction, 6),
             "kills_fired": self.kills_fired,
             "restarts": self.restarts,
-            "lost_updates": self.lost_updates,
-            "phantom_rows": self.phantom_rows,
-            "unreachable_tuples": self.unreachable_tuples,
-            "tuple_conservation": self.tuple_conservation,
+            **self.audit_payload(),
             "lock_order_out_of_order": self.lock_order_out_of_order,
         }
 
@@ -145,10 +71,18 @@ class StorageResilienceReport:
     @property
     def violations(self) -> list[str]:
         """Every acceptance failure across the sweep's points."""
-        failures: list[str] = []
-        for point in self.points:
-            failures.extend(point.violations)
-        return failures
+        return [violation for point in self.points for violation in point.violations]
+
+    @property
+    def title(self) -> str:
+        return f"Storage resilience under process kills (seed {self.seed})"
+
+    def rows(self) -> list[tuple[str, str]]:
+        return [
+            (f"{point.label} {heading}", text)
+            for point in self.points
+            for heading, text in point.rows()
+        ]
 
     def to_payload(self) -> dict:
         """Deterministic summary for ``BENCH_partitioner.json``."""
@@ -157,41 +91,6 @@ class StorageResilienceReport:
             "points": [point.to_payload() for point in self.points],
             "violations": self.violations,
         }
-
-
-def _audit_point(
-    cluster: SqliteStorageCluster, router: Router, oracle, point: StoragePointReport
-) -> None:
-    """Compare the closed cluster's SQLite files against the oracle, row by row."""
-    schema = oracle.schema
-    stores = {
-        partition: cluster.open_store(partition)
-        for partition in range(cluster.num_partitions)
-    }
-    try:
-        rows = {
-            partition: {table.name: store.all_rows(table.name) for table in schema.tables}
-            for partition, store in stores.items()
-        }
-        locations: dict = {}
-        for partition, store in stores.items():
-            for tuple_id in store.tuple_ids():
-                locations.setdefault(tuple_id, set()).add(partition)
-        for tuple_id, resident in locations.items():
-            oracle_row = oracle.get_row(tuple_id)
-            if oracle_row is None:
-                point.phantom_rows += 1
-                continue
-            for partition in resident:
-                if rows[partition][tuple_id.table].get(tuple(tuple_id.key)) != oracle_row:
-                    point.lost_updates += 1
-            placement = router.placement_of(tuple_id)
-            if not any(partition in resident for partition in placement):
-                point.unreachable_tuples += 1
-        point.tuple_conservation = set(locations) == set(oracle.all_tuple_ids())
-    finally:
-        for store in stores.values():
-            store.close()
 
 
 def _run_point(
@@ -207,38 +106,10 @@ def _run_point(
     retry_options: RetryOptions,
 ) -> StoragePointReport:
     """Deploy one (strategy, k) point, drive it through the kills, audit it."""
-    # A fresh bundle per point: the oracle database is mutated by the
-    # committed traffic, so points must not share it.
-    config = TpccConfig(
-        warehouses=warehouses,
-        districts_per_warehouse=2,
-        customers_per_district=8,
-        items=40,
-        seed=seed,
+    inputs = tpcc_inputs(seed, warehouses, training_transactions, live_transactions)
+    strategy, router = deploy(
+        inputs, strategy_name, num_partitions, "experiments.storage_resilience"
     )
-    bundle = generate_tpcc(
-        config, num_transactions=training_transactions + live_transactions
-    )
-    training = Workload(
-        f"{bundle.name}-train", bundle.workload.transactions[:training_transactions]
-    )
-    live = bundle.workload.transactions[training_transactions:]
-    database = bundle.database
-
-    if strategy_name == "schism":
-        run = Pipeline(SchismOptions(num_partitions=num_partitions)).run(
-            database, training
-        )
-        plan = run.plan(created_by="experiments.storage_resilience", workload=bundle.name)
-        strategy = plan.deployment_strategy("hash")
-        lookup_table = build_lookup_table(strategy.assignment)
-    else:
-        from repro.core.strategies import HashPartitioning
-
-        strategy = HashPartitioning(num_partitions)
-        lookup_table = None
-    router = Router(strategy, database.schema, lookup_table)
-
     # Two kills per point: an early one on partition 0 and a mid-run one on
     # the last partition, pinned to cluster-wide commit counts — trigger
     # points the thread interleaving cannot move.
@@ -251,31 +122,12 @@ def _run_point(
             ),
         ),
     )
-    injector = faults.build()
     point = StoragePointReport(
-        label=label,
-        strategy=strategy_name,
-        num_partitions=num_partitions,
-        kills_planned=len(faults.worker_kills),
+        label=label, strategy=strategy_name, num_partitions=num_partitions
     )
-
-    cluster = SqliteStorageCluster.from_database(
-        directory / label, database, strategy
-    ).start()
-    try:
-        coordinator = StorageCoordinator(
-            cluster,
-            router,
-            oracle=database,
-            retry_options=retry_options,
-            seed=seed,
-        )
-        # Runtime lock-order witness: certify that the interleaving this run
-        # actually executed never acquired tokens out of global sorted order
-        # (the static lock-order pass proves the call sites; this proves the
-        # traffic).
-        witness = WitnessedLockManager(coordinator.locks)
-        coordinator.locks = witness
+    with sqlite_deployment(
+        point, directory / label, inputs, strategy, router, faults, retry_options, seed
+    ) as (cluster, coordinator, injector):
 
         def on_commit(commits: int) -> None:
             for kill in injector.due_worker_kills(commits):
@@ -284,26 +136,8 @@ def _run_point(
         driver = ClosedLoopDriver(
             coordinator, num_clients=num_clients, on_commit=on_commit
         )
-        report = driver.run(live, txn_id_prefix=f"{label}-txn")
-    finally:
-        cluster.close()
-
-    point.total = report.total
-    point.committed = report.committed
-    point.aborted = report.aborted
-    point.write_fast_fails = report.write_fast_fails
-    point.read_fallbacks = report.read_fallbacks
-    point.in_doubt_completed = report.in_doubt_completed
-    point.distributed_fraction = report.distributed_fraction
-    point.kills_fired = injector.statistics.workers_killed
-    point.restarts = cluster.restart_count()
-    point.lock_acquisitions = witness.acquisitions
-    point.lock_order_out_of_order = witness.out_of_order
-    point.wall_s = report.wall_s
-    point.throughput_txn_s = report.throughput_txn_s
-    point.latency_p50_ms = report.latency_quantile(0.50)
-    point.latency_p99_ms = report.latency_quantile(0.99)
-    _audit_point(cluster, router, database, point)
+        traffic = driver.run(inputs.live, txn_id_prefix=f"{label}-txn")
+    point.record_traffic(traffic)
     return point
 
 
@@ -326,68 +160,23 @@ def run_storage_resilience(
     """
     retry_options = retry_options or RetryOptions(timeout_ms=500, max_retries=4)
     report = StorageResilienceReport(seed=seed)
-    with trace_span("experiment.storage_resilience", seed=seed, warehouses=warehouses):
-        cleanup = None
-        if directory is None:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-storage-")
-            directory = cleanup.name
-        try:
-            base = Path(directory)
-            for num_partitions in partition_counts:
-                for strategy_name in ("schism", "hash"):
-                    label = f"{strategy_name}-k{num_partitions}"
-                    report.points.append(
-                        _run_point(
-                            label,
-                            strategy_name,
-                            num_partitions,
-                            seed,
-                            warehouses,
-                            training_transactions,
-                            live_transactions,
-                            num_clients,
-                            base,
-                            retry_options,
-                        )
+    with trace_span(
+        "experiment.storage_resilience", seed=seed, warehouses=warehouses
+    ), scratch_directory(directory, "repro-storage-") as base:
+        for num_partitions in partition_counts:
+            for strategy_name in ("schism", "hash"):
+                report.points.append(
+                    _run_point(
+                        f"{strategy_name}-k{num_partitions}",
+                        strategy_name,
+                        num_partitions,
+                        seed,
+                        warehouses,
+                        training_transactions,
+                        live_transactions,
+                        num_clients,
+                        base,
+                        retry_options,
                     )
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
+                )
     return report
-
-
-def format_storage_resilience(report: StorageResilienceReport) -> str:
-    """Human-readable table of the sweep (wall-clock columns marked volatile)."""
-    lines = [
-        f"Storage resilience under process kills (seed {report.seed})",
-        "",
-        f"{'point':<12} {'k':>2} {'txns':>5} {'commit':>6} {'abort':>5} "
-        f"{'dist%':>6} {'kills':>5} {'restarts':>8} {'lost':>4} {'unreach':>7} {'conserved':>9}",
-    ]
-    for point in report.points:
-        lines.append(
-            f"{point.label:<12} {point.num_partitions:>2} {point.total:>5} "
-            f"{point.committed:>6} {point.aborted:>5} "
-            f"{point.distributed_fraction:>6.1%} {point.kills_fired:>5} "
-            f"{point.restarts:>8} {point.lost_updates:>4} "
-            f"{point.unreachable_tuples:>7} {str(point.tuple_conservation):>9}"
-        )
-    lines.append("")
-    lines.append("wall-clock (volatile, machine-dependent):")
-    for point in report.points:
-        lines.append(
-            f"  {point.label:<12} {point.throughput_txn_s:>8.1f} txn/s   "
-            f"p50 {point.latency_p50_ms:>7.1f} ms   p99 {point.latency_p99_ms:>7.1f} ms   "
-            f"fallbacks {point.read_fallbacks}  fast-fails {point.write_fast_fails}  "
-            f"in-doubt {point.in_doubt_completed}"
-        )
-    lines.append("")
-    if report.violations:
-        lines.append("VIOLATIONS:")
-        lines.extend(f"  {violation}" for violation in report.violations)
-    else:
-        lines.append(
-            "audits clean: zero lost updates, zero unreachable tuples, "
-            "every killed worker restarted"
-        )
-    return "\n".join(lines)

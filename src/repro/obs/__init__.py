@@ -34,6 +34,8 @@ from repro.obs.metrics import (
     SECONDS_BUCKETS,
     MetricsRegistry,
     NullMetricsRegistry,
+    nearest_rank,
+    quantile,
 )
 from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -113,4 +115,6 @@ __all__ = [
     "use_telemetry",
     "trace_span",
     "trace_event",
+    "nearest_rank",
+    "quantile",
 ]

@@ -30,6 +30,26 @@ from __future__ import annotations
 
 from repro.utils.canonical_json import dumps_canonical
 
+
+def nearest_rank(q: float, count: int) -> int:
+    """The 1-based nearest rank ``ceil(q * count)``, clamped to ``[1, count]``.
+
+    Computed in integers with ``q`` truncated to six decimals, so the rank
+    never depends on how ``q * count`` rounds in floating point.
+
+    >>> nearest_rank(0.99, 100), nearest_rank(0.99, 101), nearest_rank(0.5, 3)
+    (99, 100, 2)
+    """
+    return max(1, min(count, -(-int(q * 1_000_000) * count // 1_000_000)))
+
+
+def quantile(samples, q: float) -> float:
+    """Nearest-rank ``q`` quantile of ``samples`` (0.0 when empty)."""
+    if not samples:
+        return 0.0
+    return sorted(samples)[nearest_rank(q, len(samples)) - 1]
+
+
 #: snapshot format marker and version; bump on breaking changes.
 METRICS_FORMAT = "repro-metrics"
 METRICS_FORMAT_VERSION = 1
@@ -128,9 +148,8 @@ class Histogram:
         """Bucket-resolution quantile estimate (0 when empty)."""
         if self.count == 0:
             return 0.0
-        # ceil(q * count) observations lie at or below the answer.
-        target = -(-int(q * 1_000_000) * self.count // 1_000_000)
-        target = max(1, min(self.count, target))
+        # nearest_rank(q, count) observations lie at or below the answer.
+        target = nearest_rank(q, self.count)
         cumulative = 0
         for index, observed in enumerate(self.bucket_counts):
             cumulative += observed

@@ -54,7 +54,7 @@ from repro.online.migration import (
     MigrationReport,
     plan_migration,
 )
-from repro.obs import DEFAULT_BUCKETS, RATE_BUCKETS, get_telemetry
+from repro.obs import DEFAULT_BUCKETS, RATE_BUCKETS, get_telemetry, quantile
 from repro.online.monitor import DriftReport, MonitorOptions, WorkloadMonitor
 from repro.online.repartitioner import (
     BudgetedRepartitioner,
@@ -291,11 +291,7 @@ class MigrationPacer:
 
     def p99_latency(self) -> float:
         """Windowed p99 of the committed-transaction latency proxy."""
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        index = max(0, math.ceil(0.99 * len(ordered)) - 1)
-        return ordered[index]
+        return quantile(self._latencies, 0.99)
 
     def abort_rate(self) -> float:
         """Windowed fraction of attempts that aborted."""

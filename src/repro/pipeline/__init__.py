@@ -11,9 +11,6 @@ Public surface:
 * :class:`PartitionPlan` / :class:`PlanDiff` — the versioned, serializable
   partitioning decision that offline runs produce, online deployments
   consume and re-export, and ``python -m repro`` reads and writes.
-
-The legacy one-call facade (``repro.core.schism.Schism``/``run_schism``)
-is a thin deprecation shim over this package.
 """
 
 from repro.pipeline.config import PhaseTimings, SchismOptions

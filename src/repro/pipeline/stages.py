@@ -179,7 +179,7 @@ def _run_validate(state: PipelineState, options: SchismOptions) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Candidate construction (shared with the legacy Schism facade)
+# Candidate construction
 # ---------------------------------------------------------------------------
 def candidate_strategies(
     options: SchismOptions,

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.obs import get_telemetry
+from repro.obs import get_telemetry, quantile
 from repro.storage.coordinator import StorageCoordinator, StorageOutcome
 from repro.workload.trace import Transaction
 
@@ -60,11 +60,7 @@ class DriverReport:
 
     def latency_quantile(self, q: float) -> float:
         """Latency quantile in milliseconds (nearest-rank)."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
+        return quantile(self.latencies_ms, q)
 
     def to_payload(self) -> dict:
         """Deterministic summary (wall-clock fields rounded, kept separate)."""

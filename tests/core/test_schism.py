@@ -1,8 +1,8 @@
-"""Tests for the end-to-end Schism pipeline object."""
+"""Tests for the end-to-end Schism pipeline run."""
 
 import pytest
 
-from repro.core.schism import Schism, SchismOptions, run_schism
+from repro.pipeline import Pipeline, SchismOptions
 from repro.sqlparse.ast import SelectStatement, UpdateStatement, eq, in_list
 from repro.utils.rng import SeededRng
 from repro.workload.trace import Workload
@@ -35,46 +35,36 @@ def clustered_database(bank_schema):
 
 def test_pipeline_discovers_clusters(clustered_database):
     options = SchismOptions(num_partitions=2)
-    result = Schism(options).run(clustered_database, clustered_workload())
+    run = Pipeline(options).run(clustered_database, clustered_workload())
+    reports = run.state.validation.reports
     # The graph solution should make almost every transaction single-partition.
-    assert result.reports["lookup-table"].distributed_fraction < 0.1
+    assert reports["lookup-table"].distributed_fraction < 0.1
     # And the explanation should express it as a key range split around id 50.
-    assert result.reports["range-predicates"].distributed_fraction < 0.15
-    assert result.recommendation in ("range-predicates", "lookup-table")
-    assert result.assignment.partition_tuple_counts()[0] > 0
-    assert result.graph_cut >= 0
-    assert result.timings.total > 0
+    assert reports["range-predicates"].distributed_fraction < 0.15
+    assert run.recommendation in ("range-predicates", "lookup-table")
+    assert run.state.assignment.partition_tuple_counts()[0] > 0
+    assert run.state.graph_cut >= 0
+    assert run.state.timings.total > 0
 
 
 def test_pipeline_with_test_workload(clustered_database):
-    result = Schism(SchismOptions(num_partitions=2)).run(
+    run = Pipeline(SchismOptions(num_partitions=2)).run(
         clustered_database,
         clustered_workload(transactions=150),
         test_workload=clustered_workload(transactions=50),
     )
-    assert result.validation.winner_report.total_transactions == 50
+    assert run.options.num_partitions == 2
+    assert run.state.validation.winner_report.total_transactions == 50
 
 
 def test_describe_mentions_graph_and_candidates(clustered_database):
-    result = Schism(SchismOptions(num_partitions=2)).run(clustered_database, clustered_workload())
-    text = result.describe()
+    run = Pipeline(SchismOptions(num_partitions=2)).run(
+        clustered_database, clustered_workload()
+    )
+    text = run.describe()
     assert "graph:" in text
-    assert "candidates:" in text
-
-
-def test_run_schism_convenience(clustered_database):
-    result = run_schism(clustered_database, clustered_workload(transactions=100), num_partitions=2)
-    assert result.options.num_partitions == 2
-
-
-def test_run_schism_conflicting_options(clustered_database):
-    with pytest.raises(ValueError):
-        run_schism(
-            clustered_database,
-            clustered_workload(transactions=10),
-            num_partitions=3,
-            options=SchismOptions(num_partitions=2),
-        )
+    for candidate in run.state.validation.reports:
+        assert candidate in text
 
 
 def test_invalid_options():
@@ -86,10 +76,10 @@ def test_invalid_options():
 
 def test_read_mostly_detection(clustered_database):
     read_only = clustered_workload(transactions=100)
-    result = Schism(SchismOptions(num_partitions=2, lookup_default_policy="auto")).run(
+    run = Pipeline(SchismOptions(num_partitions=2, lookup_default_policy="auto")).run(
         clustered_database, read_only
     )
-    lookup = result.validation.strategies["lookup-table"]
+    lookup = run.state.validation.strategies["lookup-table"]
     assert lookup.default_policy == "replicate"
 
     write_heavy = Workload("writes")
@@ -99,7 +89,7 @@ def test_read_mostly_detection(clustered_database):
         write_heavy.add_statements(
             [UpdateStatement("account", {"bal": ("delta", 1)}, where=eq("id", target))]
         )
-    result = Schism(SchismOptions(num_partitions=2, lookup_default_policy="auto")).run(
+    run = Pipeline(SchismOptions(num_partitions=2, lookup_default_policy="auto")).run(
         clustered_database, write_heavy
     )
-    assert result.validation.strategies["lookup-table"].default_policy == "hash"
+    assert run.state.validation.strategies["lookup-table"].default_policy == "hash"

@@ -117,7 +117,7 @@ def test_online_drift_adaptation_beats_full_repartition_on_cost():
 
 
 def test_resilience_survives_faults_with_zero_loss():
-    from repro.experiments import format_resilience, run_resilience
+    from repro.experiments import format_report, run_resilience
 
     report = run_resilience(
         seed=0,
@@ -136,5 +136,5 @@ def test_resilience_survives_faults_with_zero_loss():
     assert report.tuple_conservation
     assert report.pacer_pauses + report.pacer_throttles > 0
     assert report.deterministic
-    text = format_resilience(report)
+    text = format_report(report)
     assert "PASS" in text and "lost updates" in text

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,35 @@ from repro.obs import (
     RATE_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.metrics import METRICS_FORMAT, METRICS_FORMAT_VERSION
+from repro.obs.metrics import (
+    METRICS_FORMAT,
+    METRICS_FORMAT_VERSION,
+    nearest_rank,
+    quantile,
+)
 
 REPO_SRC = Path(__file__).resolve().parent.parent.parent / "src"
+
+
+@pytest.mark.parametrize("q", [0.5, 0.99])
+def test_nearest_rank_matches_the_formulas_it_replaced(q):
+    """One rank rule for every quantile site.
+
+    The references are the two formulas the rule replaced: the float
+    ``ceil(q * n) - 1`` index of the migration pacer and the old resilience
+    p99, and the histogram's integer target rank.
+    """
+    for n in range(1, 2001):
+        pacer_index = max(0, math.ceil(q * n) - 1)
+        histogram_rank = max(1, min(n, -(-int(q * 1_000_000) * n // 1_000_000)))
+        assert nearest_rank(q, n) - 1 == pacer_index
+        assert nearest_rank(q, n) == histogram_rank
+        samples = list(range(n, 0, -1))
+        assert quantile(samples, q) == sorted(samples)[pacer_index]
+
+
+def test_quantile_of_nothing_is_zero():
+    assert quantile([], 0.99) == 0.0
 
 
 def test_counter_families_and_labels():

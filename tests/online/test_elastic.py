@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.schism import Schism, SchismOptions, start_online
+from repro.core.schism import start_online
+from repro.pipeline import Pipeline, SchismOptions
 from repro.experiments.online_drift import run_elastic_scaling
 from repro.online import ElasticOptions, MonitorOptions, OnlineOptions, RepartitionOptions
 from repro.workload.rwsets import extract_access_trace
@@ -37,13 +38,15 @@ def controller():
         seed=0,
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=2)).run(database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=2)).run(database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
         batch_size=50,
     )
-    online = start_online(offline, database, options)
+    online = start_online(
+        offline.plan(), database, options, warm_up_trace=offline.state.training_trace
+    )
     online.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
     return online
 
@@ -135,7 +138,7 @@ def test_observe_never_resizes_on_its_constant_rate():
         seed=0,
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=4)).run(database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=4)).run(database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         # With batch_size=50 the constant rate is ~50: ideal = 1 partition,
@@ -143,7 +146,9 @@ def test_observe_never_resizes_on_its_constant_rate():
         elastic=ElasticOptions(enabled=True, target_rate_per_partition=50.0),
         batch_size=50,
     )
-    online = start_online(offline, database, options)
+    online = start_online(
+        offline.plan(), database, options, warm_up_trace=offline.state.training_trace
+    )
     result = online.observe(extract_access_trace(database, bundle.phases[1]))
     assert result.resizes == []
     assert online.num_partitions == 4
@@ -197,13 +202,15 @@ def _fresh_controller(k=2):
         hot_window=150,
         seed=3,
     )
-    offline = Schism(SchismOptions(num_partitions=k)).run(bundle.database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=k)).run(bundle.database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
         batch_size=50,
     )
-    return start_online(offline, bundle.database, options)
+    return start_online(
+        offline.plan(), bundle.database, options, warm_up_trace=offline.state.training_trace
+    )
 
 
 def test_begin_resize_session_survives_coordinator_death():

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cost import evaluate_strategy
-from repro.core.schism import Schism, SchismOptions, start_online
+from repro.core.schism import start_online
+from repro.pipeline import Pipeline, SchismOptions
 from repro.core.strategies import LookupTablePartitioning
 from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions
 from repro.workload.rwsets import extract_access_trace
@@ -32,7 +33,7 @@ def _run_scenario():
         seed=SEED,
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=NUM_PARTITIONS)).run(
+    offline = Pipeline(SchismOptions(num_partitions=NUM_PARTITIONS)).run(
         database, bundle.training
     )
     options = OnlineOptions(
@@ -42,7 +43,9 @@ def _run_scenario():
         ),
         batch_size=100,
     )
-    controller = start_online(offline, database, options)
+    controller = start_online(
+        offline.plan(), database, options, warm_up_trace=offline.state.training_trace
+    )
     drifted = extract_access_trace(database, bundle.phases[1])
     observation = controller.observe(drifted, auto_adapt=False)
     before = evaluate_strategy(controller.strategy, drifted).distributed_fraction
@@ -177,13 +180,15 @@ def test_auto_adapt_triggers_on_drift():
         seed=1,
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=2)).run(database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=2)).run(database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
         batch_size=50,
     )
-    controller = start_online(offline, database, options)
+    controller = start_online(
+        offline.plan(), database, options, warm_up_trace=offline.state.training_trace
+    )
     drifted = extract_access_trace(database, bundle.phases[1])
     result = controller.observe(drifted, auto_adapt=True)
     assert result.adaptations

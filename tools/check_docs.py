@@ -38,6 +38,7 @@ MARKDOWN_GLOBS = ("docs/*.md",)
 #: modules with doctested examples (keep in sync with the CI docs job).
 DOCTEST_MODULES = (
     "repro.graph.assignment",
+    "repro.obs.metrics",
     "repro.routing.lookup",
     "repro.online.controller",
     "repro.pipeline.plan",
