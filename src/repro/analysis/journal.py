@@ -7,11 +7,11 @@ That guarantee holds only if every function that advances migration state —
 a journal state transition, or a batch of side-effecting copy/drop steps —
 persists a record before returning on its progress paths.
 
-Full path-sensitive post-dominance is overkill for the two modules in
+Full path-sensitive post-dominance is overkill for the one module in
 scope; what bit-rots in practice is a *new* transition arm or batch call
 added without any persist at all.  The check here: in the configured
 modules, any function that calls a progress-advancing method
-(``_transition`` or one of the batch executors) must also call ``_persist``
+(``_transition`` or the batch executor) must also call ``_persist``
 at a source position after that call.  A function persisting conditionally
 ("only when progress was made") satisfies it; a function never persisting
 after a transition is exactly the bug class this pass exists to catch.
@@ -23,15 +23,11 @@ import ast
 
 from repro.analysis.core import Finding, InvariantPass, ModuleSource, Project, iter_functions
 
-#: modules implementing the journaled state machines.
-DEFAULT_TARGETS = (
-    "src/repro/online/migration.py",
-    "src/repro/storage/migrator.py",
-)
-#: methods that advance journal state or execute side-effecting batches.
-DEFAULT_EFFECTS = frozenset(
-    {"_transition", "_run_batch", "_run_restore_batch", "_run_remove_batch"}
-)
+#: modules implementing the journaled state machine.
+DEFAULT_TARGETS = ("src/repro/online/migration.py",)
+#: methods that advance journal state or execute side-effecting batches
+#: (``_run_batch`` is the one executor of copies, drops and their undo).
+DEFAULT_EFFECTS = frozenset({"_transition", "_run_batch"})
 #: methods that write a journal record.
 DEFAULT_PERSISTS = frozenset({"_persist"})
 

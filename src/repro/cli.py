@@ -170,13 +170,13 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
             on_commit = None
             on_outcome = None
             if args.resize is not None:
-                from repro.online.controller import MigrationPacer, PacingOptions
-                from repro.online.migration import FileJournalSink
-                from repro.storage import (
-                    StorageMigrationSession,
-                    StorageMigrator,
-                    plan_storage_resize,
+                from repro.online.controller import (
+                    MigrationPacer,
+                    MigrationSession,
+                    PacingOptions,
                 )
+                from repro.online.migration import FileJournalSink, JournaledMigrator
+                from repro.storage import SqliteMigrationBackend, plan_storage_resize
 
                 journal = plan_storage_resize(
                     cluster,
@@ -189,17 +189,17 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
                 sink = FileJournalSink(journal_path)
                 sink.write(journal.dumps())
                 pacer = MigrationPacer(PacingOptions(max_steps=16), volatile=True)
-                migrator = StorageMigrator(
+                backend = SqliteMigrationBackend(
                     cluster,
-                    router,
-                    journal,
-                    sink=sink,
-                    batch_size=16,
+                    migration_id=journal.migration_id,
                     locks=coordinator.locks,
                     retry_options=retry_options,
                     seed=args.seed,
                 )
-                session = StorageMigrationSession(migrator, pacer=pacer)
+                migrator = JournaledMigrator(
+                    backend, router, journal, sink=sink, batch_size=16
+                )
+                session = MigrationSession(migrator, pacer=pacer)
                 tick_lock = threading.Lock()
 
                 def on_commit(_commits: int) -> None:

@@ -8,6 +8,34 @@ from repro.core.strategies import PartitioningStrategy
 from repro.engine.database import Database
 
 
+def partition_rows(database: Database, placement) -> list[dict[str, list[dict]]]:
+    """The rows each partition stores when ``database`` is placed by ``placement``.
+
+    ``placement`` is a :class:`PartitioningStrategy` or a
+    :class:`~repro.pipeline.plan.PartitionPlan` (deployed via its winning
+    strategy).  Returns one ``{table: [row, ...]}`` mapping per partition,
+    tables in schema order and rows in storage order; replicated tuples
+    appear in every partition their placement names.
+    """
+    # Imported lazily so the distributed layer stays importable alone.
+    from repro.pipeline.plan import PartitionPlan
+
+    strategy: PartitioningStrategy = (
+        placement.build_strategy()
+        if isinstance(placement, PartitionPlan)
+        else placement
+    )
+    per_partition: list[dict[str, list[dict]]] = [
+        {} for _ in range(strategy.num_partitions)
+    ]
+    for table in database.schema.tables:
+        for key, row in database.storage(table.name).rows():
+            placements = strategy.partitions_for_tuple(TupleId(table.name, key), row)
+            for partition in placements:
+                per_partition[partition].setdefault(table.name, []).append(dict(row))
+    return per_partition
+
+
 class Cluster:
     """One in-memory :class:`Database` per partition."""
 
@@ -22,27 +50,17 @@ class Cluster:
     def from_database(cls, database: Database, placement) -> "Cluster":
         """Materialise a cluster by placing every tuple of ``database``.
 
-        ``placement`` is a :class:`PartitioningStrategy` or a
-        :class:`~repro.pipeline.plan.PartitionPlan` (deployed via its
-        winning strategy).  This is the physical "data migration" step: each
-        tuple is copied to every partition the placement assigns it to
-        (replicated tuples appear on several partitions).
+        ``placement`` is resolved as in :func:`partition_rows`.  This is the
+        physical "data migration" step: each tuple is copied to every
+        partition the placement assigns it to (replicated tuples appear on
+        several partitions).
         """
-        # Imported lazily so the distributed layer stays importable alone.
-        from repro.pipeline.plan import PartitionPlan
-
-        strategy: PartitioningStrategy = (
-            placement.build_strategy()
-            if isinstance(placement, PartitionPlan)
-            else placement
-        )
-        cluster = cls(database.schema, strategy.num_partitions)
-        for table in database.schema.tables:
-            storage = database.storage(table.name)
-            for key, row in storage.rows():
-                placements = strategy.partitions_for_tuple(TupleId(table.name, key), row)
-                for partition in placements:
-                    cluster.partition_databases[partition].insert_row(table.name, dict(row))
+        per_partition = partition_rows(database, placement)
+        cluster = cls(database.schema, len(per_partition))
+        for target, tables in zip(cluster.partition_databases, per_partition):
+            for table_name, rows in tables.items():
+                for row in rows:
+                    target.insert_row(table_name, row)
         return cluster
 
     def database(self, partition: int) -> Database:

@@ -1,8 +1,9 @@
 """Live 2→4 resize on the real storage backend, under kills and load.
 
-The tentpole chaos experiment for the storage migrator: a Schism-planned
-TPC-C deployment runs on SQLite partition workers while a journaled
-:class:`~repro.storage.migrator.StorageMigrator` resizes the cluster from
+The chaos experiment for migration on real storage: a Schism-planned
+TPC-C deployment runs on SQLite partition workers while a
+:class:`~repro.online.migration.JournaledMigrator` over a
+:class:`~repro.storage.migrator.SqliteMigrationBackend` resizes the cluster from
 ``old_partitions`` to ``new_partitions`` *during* closed-loop traffic.  The
 fault schedule SIGKILLs two partition workers and the migration coordinator
 itself mid-copy; the migration must resume from its durable journal (the
@@ -33,7 +34,7 @@ run is shaped to make every **counted** quantity interleaving-independent:
   observes a dead worker and ``storage.retries`` stays at zero.
 * The coordinator kill raises :class:`CoordinatorDeath` inside a commit-
   hook tick; ticking stops (the "migration coordinator process" is dead)
-  and the next barrier re-attaches a fresh :class:`StorageMigrator` from
+  and the next barrier re-attaches a fresh migrator from
   the journal the sink persisted *before* the kill fired.
 * The :class:`~repro.online.controller.MigrationPacer` is wired to the
   driver's live latency/abort stream (``on_outcome``) but constructed
@@ -65,14 +66,13 @@ from repro.experiments.chaos import (
     tpcc_inputs,
 )
 from repro.obs import trace_span
-from repro.online.controller import MigrationPacer, PacingOptions
-from repro.online.migration import FileJournalSink
+from repro.online.controller import MigrationPacer, MigrationSession, PacingOptions
+from repro.online.migration import FileJournalSink, JournaledMigrator
 from repro.storage import (
     ClosedLoopDriver,
     DriverReport,
     RetryOptions,
-    StorageMigrationSession,
-    StorageMigrator,
+    SqliteMigrationBackend,
     plan_storage_resize,
 )
 
@@ -247,22 +247,21 @@ def run_storage_migration(
                 volatile=True,
             )
 
-            def make_session(j) -> StorageMigrationSession:
+            def make_session(j) -> MigrationSession:
                 # The migrator shares the coordinator's (witnessed) lock
                 # manager, so client commits and migration batches are
                 # certified against one acquisition graph.
-                migrator = StorageMigrator(
+                backend = SqliteMigrationBackend(
                     cluster,
-                    router,
-                    j,
-                    sink=sink,
-                    batch_size=batch_size,
-                    injector=injector,
+                    migration_id=j.migration_id,
                     locks=coordinator.locks,
                     retry_options=retry_options,
                     seed=seed,
                 )
-                return StorageMigrationSession(migrator, pacer=pacer)
+                migrator = JournaledMigrator(
+                    backend, router, j, sink=sink, batch_size=batch_size, injector=injector
+                )
+                return MigrationSession(migrator, pacer=pacer)
 
             holder = {"session": make_session(journal), "dead": False}
             tick_lock = threading.Lock()

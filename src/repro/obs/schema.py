@@ -1,6 +1,6 @@
 """A minimal JSON-Schema validator for telemetry snapshots.
 
-The CI metrics-smoke job validates exported ``--metrics-out`` snapshots
+CI's chaos job validates exported ``--metrics-out`` snapshots
 against ``docs/metrics_schema.json``.  The toolchain bakes in no
 ``jsonschema`` package, so this module implements the small subset of JSON
 Schema the checked-in schema actually uses: ``type``, ``const``, ``enum``,

@@ -15,9 +15,9 @@ live:
   warm-starts from the *current* assignment with an explicit migration-cost
   term, so small drifts produce small placement deltas.
 * :mod:`repro.online.migration` — live migration planning and execution:
-  ordered copy-before-drop steps against a
-  :class:`~repro.distributed.cluster.Cluster`, with an atomic swap of the
-  router's lookup table at the end.
+  ordered copy-before-drop steps run by the journaled, crash-safe
+  :class:`~repro.online.migration.JournaledMigrator`, which flips the
+  router's lookup table between the copies and the drops.
 * :mod:`repro.online.controller` — :class:`OnlineSchism`, the controller
   wiring monitor -> maintainer -> re-partitioner -> migration.
 """
@@ -35,7 +35,7 @@ from repro.online.maintainer import (
     StarExpansion,
 )
 from repro.online.migration import (
-    LiveMigrator,
+    JournaledMigrator,
     MigrationPlan,
     MigrationReport,
     MigrationStep,
@@ -56,7 +56,7 @@ __all__ = [
     "DriftReport",
     "ElasticOptions",
     "IncrementalGraphMaintainer",
-    "LiveMigrator",
+    "JournaledMigrator",
     "MaintainerOptions",
     "MigrationPlan",
     "MigrationReport",

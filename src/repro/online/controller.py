@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning, hash_home
@@ -45,14 +46,15 @@ from repro.distributed.faults import FaultInjector
 from repro.graph.assignment import PartitionAssignment
 from repro.online.maintainer import IncrementalGraphMaintainer, MaintainerOptions
 from repro.online.migration import (
+    MIGRATION_BATCH_SIZE,
     FileJournalSink,
     JournaledMigrator,
-    LiveMigrator,
     MemoryJournalSink,
     MigrationJournal,
     MigrationPlan,
     MigrationReport,
     plan_migration,
+    run_until_terminal,
 )
 from repro.obs import DEFAULT_BUCKETS, RATE_BUCKETS, get_telemetry, quantile
 from repro.online.monitor import DriftReport, MonitorOptions, WorkloadMonitor
@@ -483,55 +485,41 @@ class ResizeRecord:
 
 
 class MigrationSession:
-    """One in-flight journaled resize the controller interleaves with traffic.
+    """Paced ticks of one journaled resize, interleaved with live traffic.
 
-    Created by :meth:`OnlineSchism.begin_resize`, the session owns a
-    :class:`~repro.online.migration.JournaledMigrator` and advances it one
-    paced batch per :meth:`tick` — the call a traffic loop makes between
-    transactions, so migration work and live load share one thread
-    deterministically.  When a :class:`MigrationPacer` is attached, its
-    step budget gates every tick (0 = the migration holds still while the
-    SLO recovers).
+    The session owns a :class:`~repro.online.migration.JournaledMigrator`
+    and advances it one paced batch per :meth:`tick` — the call a traffic
+    loop (or the storage driver's commit hook) makes between transactions,
+    so migration work and live load share one thread deterministically.
+    When a :class:`MigrationPacer` is attached, its step budget gates every
+    tick (0 = the migration holds still while the SLO recovers).
 
-    The session also owns *finalisation*: the first tick that observes a
-    terminal journal state performs the controller bookkeeping the old
-    synchronous ``resize`` did (monitor rebaseline, :class:`ResizeRecord`,
-    cooldowns) — including when the terminal state was reached by a
-    different process and this session merely resumed the journal.
+    ``on_complete`` runs once, with the session, when the journal turns
+    terminal — including when a different process reached the terminal
+    state and this session merely resumed the journal — and its return
+    value becomes :attr:`record`.  :meth:`OnlineSchism.begin_resize` passes
+    the controller's resize bookkeeping (monitor rebaseline, cooldowns,
+    :class:`ResizeRecord`); the SQLite resize passes none.
     """
 
     def __init__(
         self,
-        controller: "OnlineSchism",
-        journal: MigrationJournal,
+        migrator: JournaledMigrator,
         *,
-        trigger_rate: float | None = None,
-        repartition: ReplicatedRepartitionResult | None = None,
-        sink: MemoryJournalSink | FileJournalSink | None = None,
         pacer: MigrationPacer | None = None,
-        injector: FaultInjector | None = None,
-        batch_size: int | None = None,
+        on_complete: Callable[["MigrationSession"], ResizeRecord | None] | None = None,
     ) -> None:
-        if journal.kind != "resize":
+        if migrator.journal.kind != "resize":
             raise ValueError("MigrationSession drives resize journals")
-        self.controller = controller
-        self.journal = journal
-        self.trigger_rate = trigger_rate
-        self.repartition = repartition
+        self.migrator = migrator
+        self.journal = migrator.journal
         self.pacer = pacer
-        self.migrator = JournaledMigrator(
-            controller.cluster,
-            controller.router,
-            journal,
-            sink=sink,
-            batch_size=batch_size or controller.migrator.batch_size,
-            injector=injector,
-        )
+        self.on_complete = on_complete
         self.record: ResizeRecord | None = None
         self.ticks = 0
         self.steps_executed = 0
         self._finalized = False
-        if journal.is_terminal:
+        if self.journal.is_terminal:
             self._finalize()
 
     @property
@@ -576,21 +564,14 @@ class MigrationSession:
         self.migrator.cancel()
 
     def run_to_completion(self, max_ticks: int = 1_000_000) -> ResizeRecord | None:
-        """Tick to a terminal state; the record (None when cancelled).
+        """Tick to a terminal state; returns :attr:`record`.
 
         There is no interleaved traffic here, so every tick is an *idle*
-        tick: the pacer has nothing to protect and opens the full budget —
-        the loop always terminates unless a fault injector keeps a
-        required node down past ``max_ticks``.
+        tick: the pacer has nothing to protect and opens the full budget.
+        Raises ``RuntimeError`` when the migration stalls (a fault injector
+        keeping a required node down) or exceeds ``max_ticks``.
         """
-        for _ in range(max_ticks):
-            if self.journal.is_terminal:
-                break
-            self.tick(idle=True)
-        else:
-            raise RuntimeError(
-                f"migration did not terminate: {self.journal.progress_summary()}"
-            )
+        run_until_terminal(self.journal, lambda: self.tick(idle=True), max_ticks)
         self._finalize()
         return self.record
 
@@ -598,7 +579,8 @@ class MigrationSession:
         if self._finalized:
             return
         self._finalized = True
-        self.record = self.controller._finish_resize(self)
+        if self.on_complete is not None:
+            self.record = self.on_complete(self)
 
 
 @dataclass
@@ -658,7 +640,6 @@ class OnlineSchism:
         self.options = options or OnlineOptions()
         self.monitor = WorkloadMonitor(self.options.monitor, router.strategy)
         self.maintainer = IncrementalGraphMaintainer(self.options.maintainer)
-        self.migrator = LiveMigrator(cluster)
         self.adaptations: list[AdaptationRecord] = []
         self.resizes: list[ResizeRecord] = []
         self._cooldown = 0
@@ -899,12 +880,7 @@ class OnlineSchism:
             lookup_backend=self.options.lookup_backend,
             default_policy=self.strategy.default_policy,
         )
-        migration = JournaledMigrator(
-            self.cluster,
-            self.router,
-            journal,
-            batch_size=self.migrator.batch_size,
-        ).run()
+        migration = JournaledMigrator(self.cluster, self.router, journal).run()
         self.monitor.rebaseline(self.router.strategy)
         after = self.monitor.window_stats().distributed_fraction
         record = AdaptationRecord(trigger, result, plan, migration, before, after)
@@ -1049,17 +1025,8 @@ class OnlineSchism:
             default_policy=self.strategy.default_policy,
         )
         journal.tuples_pinned = tuples_pinned
-        if pacer is None and self.options.pacing is not None:
-            pacer = MigrationPacer(self.options.pacing)
-        return MigrationSession(
-            self,
-            journal,
-            trigger_rate=trigger_rate,
-            repartition=result,
-            sink=sink,
-            pacer=pacer,
-            injector=injector,
-            batch_size=batch_size,
+        return self._session(
+            journal, trigger_rate, result, sink, pacer, injector, batch_size
         )
 
     def attach_session(
@@ -1081,19 +1048,46 @@ class OnlineSchism:
         The planning-time repartition context died with the old coordinator,
         so a finished resumed session records ``repartition=None``.
         """
-        if pacer is None and self.options.pacing is not None:
-            pacer = MigrationPacer(self.options.pacing)
-        return MigrationSession(
-            self,
-            journal,
-            trigger_rate=trigger_rate,
-            sink=sink,
-            pacer=pacer,
-            injector=injector,
-            batch_size=batch_size,
+        return self._session(
+            journal, trigger_rate, None, sink, pacer, injector, batch_size
         )
 
-    def _finish_resize(self, session: MigrationSession) -> ResizeRecord | None:
+    def _session(
+        self,
+        journal: MigrationJournal,
+        trigger_rate: float | None,
+        repartition: ReplicatedRepartitionResult | None,
+        sink: MemoryJournalSink | FileJournalSink | None,
+        pacer: MigrationPacer | None,
+        injector: FaultInjector | None,
+        batch_size: int | None,
+    ) -> MigrationSession:
+        """A session driving ``journal`` over this controller's cluster."""
+        if pacer is None and self.options.pacing is not None:
+            pacer = MigrationPacer(self.options.pacing)
+        migrator = JournaledMigrator(
+            self.cluster,
+            self.router,
+            journal,
+            sink=sink,
+            batch_size=batch_size or MIGRATION_BATCH_SIZE,
+            injector=injector,
+        )
+        return MigrationSession(
+            migrator,
+            pacer=pacer,
+            on_complete=partial(
+                self._finish_resize, trigger_rate=trigger_rate, repartition=repartition
+            ),
+        )
+
+    def _finish_resize(
+        self,
+        session: MigrationSession,
+        *,
+        trigger_rate: float | None,
+        repartition: ReplicatedRepartitionResult | None,
+    ) -> ResizeRecord | None:
         """Controller bookkeeping once a session's journal turns terminal."""
         journal = session.journal
         # Whether completed or rolled back, the routing strategy object may
@@ -1107,8 +1101,8 @@ class OnlineSchism:
         record = ResizeRecord(
             journal.old_num_partitions,
             journal.new_num_partitions,
-            session.trigger_rate,
-            session.repartition,
+            trigger_rate,
+            repartition,
             journal.plan,
             session.report,
             journal.tuples_pinned,

@@ -8,21 +8,22 @@ At no point is a tuple stored on zero of its old-or-new partitions, so reads
 routed under either the old or the new lookup table always find a replica —
 the downtime-free property the executor reports progress on.
 
-The executor applies the plan to any :class:`MigrationBackend` — the
-simulated :class:`~repro.distributed.cluster.Cluster` or the real SQLite
-worker cluster via :class:`~repro.storage.migrator.SqliteMigrationBackend` —
-with message accounting consistent with the 2PC coordinator (one
-request/response pair per remote read, write, or delete).  The controller
-sequences it as copies -> routing update -> drops, so the routing state is
-only ever consulted while every affected tuple exists at both its old and
-its new location.  Two routing-update paths exist:
+:class:`JournaledMigrator` is the one executor: it applies a
+:class:`MigrationJournal` to any :class:`MigrationBackend` — the simulated
+:class:`~repro.distributed.cluster.Cluster` or the real SQLite worker
+cluster via :class:`~repro.storage.migrator.SqliteMigrationBackend` — with
+message accounting consistent with the 2PC coordinator (one
+request/response pair per remote read, write, or delete).  It sequences
+copies -> routing flip -> drops, so the routing state is only ever
+consulted while every affected tuple exists at both its old and its new
+location.  The flip has two modes, chosen per journal:
 
-* :meth:`LiveMigrator.apply_routing_delta` — for exact lookup backends
-  (``supports_update()``), only the changed entries are re-written in
-  place: O(moved tuples), each entry flip atomic;
-* :meth:`LiveMigrator.swap_routing` — for backends that cannot narrow
-  entries (Bloom filters), the replacement table is fully built off to the
-  side and published with a single reference assignment.
+* ``delta`` (:meth:`JournaledMigrator.apply_routing_delta`) — for exact
+  lookup backends (``supports_update()``), only the changed entries are
+  re-written in place: O(moved tuples), each entry flip atomic;
+* ``swap`` — for backends that cannot narrow entries (Bloom filters) and
+  for resizes, the replacement table is fully built off to the side and
+  published with a single :meth:`~repro.routing.router.Router.replace_strategy`.
 """
 
 from __future__ import annotations
@@ -184,9 +185,10 @@ class MigrationReport:
     #: steps deferred because an injected fault (node down, message lost)
     #: made them fail transiently; each was retried on a later batch.
     faults_deferred: int = 0
-    #: cumulative (copies done, drops done) after each executed batch — the
-    #: "downtime-free progress" trail: copies always complete before drops
-    #: begin, so every prefix leaves all tuples reachable.
+    #: cumulative (copies done, drops done) after each executed batch,
+    #: rollback batches included — the "downtime-free progress" trail:
+    #: copies always complete before drops begin, so every prefix leaves all
+    #: tuples reachable.
     progress: list[tuple[int, int]] = field(default_factory=list)
     lookup_swapped: bool = False
 
@@ -197,151 +199,6 @@ class MigrationReport:
             f"({self.skipped} skipped), {self.messages} messages, "
             f"{self.bytes_copied} bytes"
         )
-
-
-class LiveMigrator:
-    """Executes migration plans against a cluster and swaps routing state."""
-
-    def __init__(self, cluster: MigrationBackend, batch_size: int = 64) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.cluster = cluster
-        self.batch_size = batch_size
-        self._steps_counter = get_telemetry().metrics.counter(
-            "migration.steps",
-            "migration unit steps by action and result",
-            labels=("action", "result"),
-        )
-
-    def execute(self, plan: MigrationPlan) -> MigrationReport:
-        """Apply ``plan`` to the cluster (copies first, then drops)."""
-        report = self.execute_copies(plan)
-        return self.execute_drops(plan, report)
-
-    def execute_copies(
-        self,
-        plan: MigrationPlan,
-        report: MigrationReport | None = None,
-        allow_fewer_partitions: bool = False,
-    ) -> MigrationReport:
-        """Apply only the copy steps — every tuple becomes dually resident."""
-        return self._execute_steps(plan, plan.copies, report, allow_fewer_partitions)
-
-    def execute_drops(
-        self,
-        plan: MigrationPlan,
-        report: MigrationReport,
-        allow_fewer_partitions: bool = False,
-    ) -> MigrationReport:
-        """Apply only the drop steps (call after the routing update)."""
-        return self._execute_steps(plan, plan.drops, report, allow_fewer_partitions)
-
-    def _execute_steps(
-        self,
-        plan: MigrationPlan,
-        steps: list[MigrationStep],
-        report: MigrationReport | None = None,
-        allow_fewer_partitions: bool = False,
-    ) -> MigrationReport:
-        # Only the elastic shrink path may execute a plan targeting fewer
-        # partitions than the cluster still has (it removes the evacuated
-        # partitions after the drops, and says so via the flag).  Everywhere
-        # else a count mismatch means a stale or misdirected plan.
-        if plan.num_partitions != self.cluster.num_partitions and not (
-            allow_fewer_partitions and plan.num_partitions < self.cluster.num_partitions
-        ):
-            raise ValueError("plan and cluster disagree on the number of partitions")
-        if report is None:
-            report = MigrationReport()
-        pending = 0
-        for step in steps:
-            if step.action == "copy":
-                self._copy(step, report)
-            else:
-                self._drop(step, report)
-            pending += 1
-            if pending >= self.batch_size:
-                report.progress.append((report.copies, report.drops))
-                pending = 0
-        if pending:
-            report.progress.append((report.copies, report.drops))
-        return report
-
-    def _copy(self, step: MigrationStep, report: MigrationReport) -> None:
-        # Read from source: one request/response pair.
-        report.messages += 2
-        copied_bytes = self.cluster.copy_tuple(step.tuple_id, step.source, step.target)
-        if copied_bytes is None:
-            # The tuple vanished (e.g. deleted by live traffic between
-            # planning and execution): nothing to copy, routing will miss it
-            # everywhere, which is consistent.
-            report.skipped += 1
-            self._steps_counter.inc(action="copy", result="skipped")
-            return
-        if copied_bytes == 0:
-            # The target already held the replica (e.g. a plan replayed
-            # after a crash between copies and drops): nothing was written,
-            # so no write messages and no copy is recorded — mirroring how
-            # dropping an absent replica reports a skip.
-            report.skipped += 1
-            self._steps_counter.inc(action="copy", result="skipped")
-            return
-        # Write to target: one request/response pair.
-        report.messages += 2
-        report.bytes_copied += copied_bytes
-        report.copies += 1
-        self._steps_counter.inc(action="copy", result="applied")
-
-    def _drop(self, step: MigrationStep, report: MigrationReport) -> None:
-        report.messages += 2
-        if self.cluster.drop_tuple(step.tuple_id, step.source):
-            report.drops += 1
-            self._steps_counter.inc(action="drop", result="applied")
-        else:
-            report.skipped += 1
-            self._steps_counter.inc(action="drop", result="skipped")
-
-    def apply_routing_delta(
-        self, router: Router, plan: MigrationPlan, report: MigrationReport
-    ) -> None:
-        """Publish the new placement by re-writing only the changed entries.
-
-        The O(moved tuples) routing-update path for exact lookup backends
-        (``supports_update()``): each ``put`` flips one tuple's entry from
-        its old to its new placement — individually atomic, and safe at any
-        interleaving because the copies already ran (both placements are
-        physically valid until the drops execute).
-        """
-        table = router.lookup_table
-        if table is not None:
-            table.apply_delta(plan.changes)
-        strategy = router.strategy
-        if isinstance(strategy, LookupTablePartitioning):
-            for tuple_id, partitions in plan.changes:
-                strategy.assignment.assign(tuple_id, partitions)
-        report.lookup_swapped = True
-
-    def swap_routing(
-        self,
-        router: Router,
-        new_assignment: PartitionAssignment,
-        report: MigrationReport,
-        lookup_backend: str = "dict",
-    ) -> None:
-        """Atomically publish the new placement as a wholesale table swap.
-
-        The fallback for backends that cannot narrow entries in place
-        (Bloom filters): the replacement lookup table is built completely
-        before a single reference assignment swaps it in; the strategy's
-        assignment is updated the same way.  In CPython both rebinds are
-        atomic, so a concurrent ``route_statement`` sees a consistent table.
-        """
-        new_table = build_lookup_table(new_assignment, backend=lookup_backend)
-        strategy = router.strategy
-        if isinstance(strategy, LookupTablePartitioning):
-            strategy.assignment = new_assignment
-        router.lookup_table = new_table
-        report.lookup_swapped = True
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +221,9 @@ JOURNAL_FORWARD_STATES = (
 )
 JOURNAL_CANCEL_STATES = ("cancelling", "cancelled")
 JOURNAL_TERMINAL_STATES = ("completed", "cancelled")
+
+#: unit steps per migration batch unless a caller or pacer sets the budget.
+MIGRATION_BATCH_SIZE = 64
 
 
 class JournalFormatError(ValueError):
@@ -612,6 +472,32 @@ def default_journal_path(plan_path: str | Path) -> Path:
     return plan_path.with_name(plan_path.name + ".journal")
 
 
+def run_until_terminal(
+    journal: MigrationJournal, tick: Callable[[], int], max_ticks: int
+) -> None:
+    """Call ``tick`` until ``journal`` is terminal.
+
+    Raises ``RuntimeError`` when ``tick`` executes no step for many
+    consecutive calls (e.g. a permanently crashed node) or when
+    ``max_ticks`` calls do not reach a terminal state.
+    """
+    stalled = 0
+    for _ in range(max_ticks):
+        if journal.is_terminal:
+            return
+        if tick() == 0 and not journal.is_terminal:
+            stalled += 1
+            if stalled > 10_000:
+                raise RuntimeError(f"migration stalled at {journal.progress_summary()}")
+        else:
+            stalled = 0
+    if not journal.is_terminal:
+        raise RuntimeError(
+            f"migration did not terminate within {max_ticks} ticks: "
+            f"{journal.progress_summary()}"
+        )
+
+
 class MemoryJournalSink:
     """Keeps the latest journal snapshot in memory (tests, experiments)."""
 
@@ -671,12 +557,16 @@ class FileJournalSink:
 class JournaledMigrator:
     """Crash-safe executor of a :class:`MigrationJournal`.
 
-    Wraps :class:`LiveMigrator`'s per-step operations in a journal-first
-    protocol: progress is applied in bounded batches, the journal snapshot
-    is persisted to ``sink`` after every batch, and every operation is
-    idempotent — so a migrator resumed from the last persisted snapshot
+    The one way data moves: every adaptation and resize, on the simulated
+    cluster and on real storage alike, runs its copies, routing flip and
+    drops here.  Progress is applied in bounded batches, the journal
+    snapshot is persisted to ``sink`` after every batch, and every operation
+    is idempotent — so a migrator resumed from the last persisted snapshot
     replays at most one batch (copies find their replica already present,
     drops find it already gone) and continues to the same final state.
+
+    Message accounting matches the 2PC coordinator: one request/response
+    pair per remote read, write, or delete.
 
     The router's dual-write window is opened before the first copy and
     closed at the routing flip, so live writes interleaved with batches
@@ -695,7 +585,7 @@ class JournaledMigrator:
         router: Router,
         journal: MigrationJournal,
         sink: MemoryJournalSink | FileJournalSink | None = None,
-        batch_size: int = 64,
+        batch_size: int = MIGRATION_BATCH_SIZE,
         injector: FaultInjector | None = None,
     ) -> None:
         if batch_size <= 0:
@@ -706,12 +596,16 @@ class JournaledMigrator:
         self.sink = sink
         self.injector = injector
         self.batch_size = batch_size
-        self.migrator = LiveMigrator(cluster, batch_size)
         self.report = MigrationReport()
         #: placement each changed tuple migrates to (for restore sources).
         self._new_placement = dict(journal.plan.changes)
         telemetry = get_telemetry()
         self._tracer = telemetry.tracer
+        self._steps_counter = telemetry.metrics.counter(
+            "migration.steps",
+            "migration unit steps by action and result",
+            labels=("action", "result"),
+        )
         self._transitions = telemetry.metrics.counter(
             "migration.state_transitions",
             "journal state machine transitions",
@@ -734,12 +628,23 @@ class JournaledMigrator:
     # -- attachment (fresh or resumed) -------------------------------------------------
     def _attach(self) -> None:
         journal = self.journal
-        if journal.new_num_partitions > self.cluster.num_partitions and not journal.is_terminal:
+        resize = journal.kind == "resize"
+        if (
+            resize
+            and journal.new_num_partitions > self.cluster.num_partitions
+            and not journal.is_terminal
+        ):
             # A growing resize adds the empty partitions before any copy so
             # data can land on them; re-attaching after a crash finds them
-            # already present (grow_to is guarded below).
+            # already present (grow_to is guarded above).
             self.cluster.grow_to(journal.new_num_partitions)
-        if journal.plan.num_partitions > self.cluster.num_partitions:
+        # Only a resize may change the partition count (a shrink removes the
+        # evacuated partitions after its drops); anywhere else a count
+        # mismatch means a stale or misdirected plan.
+        planned = journal.plan.num_partitions
+        if planned > self.cluster.num_partitions or (
+            not resize and planned != self.cluster.num_partitions
+        ):
             raise ValueError("plan and cluster disagree on the number of partitions")
         window = self.router.migration_window
         window.close()
@@ -824,32 +729,21 @@ class JournaledMigrator:
         Raises ``RuntimeError`` when the state machine stops making progress
         for many consecutive ticks (e.g. a permanently crashed node).
         """
-        stalled = 0
-        for _ in range(max_ticks):
-            if self.journal.is_terminal:
-                return self.report
-            executed = self.step()
-            if executed == 0 and not self.journal.is_terminal:
-                stalled += 1
-                if stalled > 10_000:
-                    raise RuntimeError(
-                        f"migration stalled at {self.journal.progress_summary()}"
-                    )
-            else:
-                stalled = 0
-        raise RuntimeError("migration did not terminate within max_ticks")
+        run_until_terminal(self.journal, self.step, max_ticks)
+        return self.report
 
     # -- forward path ------------------------------------------------------------------
     def _step_forward(self, budget: int) -> int:
         journal = self.journal
+        plan = journal.plan
         if journal.state == "planned":
             self.router.migration_window.open(self._forward_window_entries())
             self._transition("copying")
             self._persist()
             return 1
         if journal.state == "copying":
-            executed = self._run_batch(journal.plan.copies, "copies_done", budget)
-            if journal.copies_done == len(journal.plan.copies):
+            executed = self._run_batch(plan.copies, "copies_done", len(plan.copies), budget)
+            if journal.copies_done == len(plan.copies):
                 self._transition("dual-window")
                 self._persist()
                 return max(executed, 1)
@@ -859,7 +753,12 @@ class JournaledMigrator:
         if journal.state == "dual-window":
             # Every tuple is resident at both placements: flip the routing
             # and close the dual-write window in the same step.
-            self._flip_forward()
+            pinned = self._publish(journal.new_num_partitions, plan.changes)
+            if not journal.tuples_pinned:
+                # The controller counts pins at planning time (and stores
+                # the count in the journal); keep that figure when present.
+                journal.tuples_pinned = pinned
+            self.report.lookup_swapped = True
             journal.flip_done = True
             self._transition("flipped")
             self._persist()
@@ -869,8 +768,8 @@ class JournaledMigrator:
             self._persist()
             return 1
         if journal.state == "dropping":
-            executed = self._run_batch(journal.plan.drops, "drops_done", budget)
-            if journal.drops_done == len(journal.plan.drops):
+            executed = self._run_batch(plan.drops, "drops_done", len(plan.drops), budget)
+            if journal.drops_done == len(plan.drops):
                 self._complete_forward()
                 return max(executed, 1)
             if executed:
@@ -887,25 +786,50 @@ class JournaledMigrator:
         self._transition("completed")
         self._persist()
 
-    def _flip_forward(self) -> None:
+    def _publish(
+        self, num_partitions: int, placements: list[tuple[TupleId, frozenset[int]]]
+    ) -> int:
+        """Republish the routing state at ``placements`` and close the window.
+
+        ``placements`` is the routing delta (the forward flip) or its
+        inverse (the rollback flip-back).  Returns the number of tuples a
+        swap pinned that had no explicit entry before (0 for a delta).
+
+        * ``delta`` — for exact lookup backends (``supports_update()``),
+          only the changed entries are re-written in place: O(moved
+          tuples), each ``put`` individually atomic, and safe at any
+          interleaving because the copies already ran (both placements are
+          physically valid until the drops execute);
+        * ``swap`` — for backends that cannot narrow entries (Bloom
+          filters) and for resizes: the replacement table is fully built
+          off to the side and published with one
+          :meth:`~repro.routing.router.Router.replace_strategy` call.
+        """
         journal = self.journal
+        pinned = 0
         if journal.flip_mode == "delta":
-            self.migrator.apply_routing_delta(self.router, journal.plan, self.report)
+            self.apply_routing_delta(placements)
         else:
-            merged, pinned = self._merged_target(
-                journal.new_num_partitions, dict(journal.plan.changes)
+            merged, pinned = self._merged_target(num_partitions, dict(placements))
+            strategy = LookupTablePartitioning(
+                num_partitions, merged, journal.default_policy
             )
-            if not journal.tuples_pinned:
-                # The controller counts pins at planning time (and stores
-                # the count in the journal); keep that figure when present.
-                journal.tuples_pinned = pinned
-            new_strategy = LookupTablePartitioning(
-                journal.new_num_partitions, merged, journal.default_policy
-            )
-            new_table = build_lookup_table(merged, backend=journal.lookup_backend)
-            self.router.replace_strategy(new_strategy, new_table)
-            self.report.lookup_swapped = True
+            table = build_lookup_table(merged, backend=journal.lookup_backend)
+            self.router.replace_strategy(strategy, table)
         self.router.migration_window.close()
+        return pinned
+
+    def apply_routing_delta(
+        self, placements: list[tuple[TupleId, frozenset[int]]]
+    ) -> None:
+        """Re-write only the given entries of the live lookup table in place."""
+        table = self.router.lookup_table
+        if table is not None:
+            table.apply_delta(placements)
+        strategy = self.router.strategy
+        if isinstance(strategy, LookupTablePartitioning):
+            for tuple_id, partitions in placements:
+                strategy.assignment.assign(tuple_id, partitions)
 
     def _merged_target(
         self, num_partitions: int, overrides: dict[TupleId, frozenset[int]]
@@ -944,20 +868,24 @@ class JournaledMigrator:
         plan = journal.plan
         # Phase 1: restore the old replicas the forward drops removed.
         if journal.rollback_restored < journal.drops_done:
-            executed = self._run_restore_batch(budget)
+            executed = self._run_batch(
+                plan.drops, "rollback_restored", journal.drops_done, budget, undo=True
+            )
             if executed or journal.rollback_restored == journal.drops_done:
                 self._persist()
             if journal.rollback_restored < journal.drops_done or executed:
                 return executed
         # Phase 2: revert the routing flip (once, if it had happened).
         if journal.flip_done and not journal.rollback_flip_done:
-            self._flip_back()
+            self._publish(journal.old_num_partitions, plan.previous)
             journal.rollback_flip_done = True
             self._persist()
             return 1
         # Phase 3: remove the replicas the forward copies added.
         if journal.rollback_removed < journal.copies_done:
-            executed = self._run_remove_batch(budget)
+            executed = self._run_batch(
+                plan.copies, "rollback_removed", journal.copies_done, budget, undo=True
+            )
             if journal.rollback_removed == journal.copies_done:
                 self._complete_rollback()
                 return max(executed, 1)
@@ -980,74 +908,80 @@ class JournaledMigrator:
         self._transition("cancelled")
         self._persist()
 
-    def _flip_back(self) -> None:
-        journal = self.journal
-        previous = dict(journal.plan.previous)
-        if journal.flip_mode == "delta":
-            table = self.router.lookup_table
-            if table is not None:
-                table.apply_delta(journal.plan.previous)
-            strategy = self.router.strategy
-            if isinstance(strategy, LookupTablePartitioning):
-                for tuple_id, partitions in journal.plan.previous:
-                    strategy.assignment.assign(tuple_id, partitions)
-        else:
-            merged, _ = self._merged_target(journal.old_num_partitions, previous)
-            old_strategy = LookupTablePartitioning(
-                journal.old_num_partitions, merged, journal.default_policy
-            )
-            old_table = build_lookup_table(merged, backend=journal.lookup_backend)
-            self.router.replace_strategy(old_strategy, old_table)
-        self.router.migration_window.close()
-
-    def _run_restore_batch(self, budget: int) -> int:
-        journal = self.journal
-        drops = journal.plan.drops
-        executed = 0
-        while journal.rollback_restored < journal.drops_done and executed < budget:
-            step = drops[journal.rollback_restored]
-            source = min(self._new_placement[step.tuple_id])
-            restore = MigrationStep("copy", step.tuple_id, source, step.source)
-            if not self._fault_gate(restore):
-                break
-            self.migrator._copy(restore, self.report)
-            journal.rollback_restored += 1
-            executed += 1
-        return executed
-
-    def _run_remove_batch(self, budget: int) -> int:
-        journal = self.journal
-        copies = journal.plan.copies
-        executed = 0
-        while journal.rollback_removed < journal.copies_done and executed < budget:
-            step = copies[journal.rollback_removed]
-            remove = MigrationStep("drop", step.tuple_id, step.target)
-            if not self._fault_gate(remove):
-                break
-            self.migrator._drop(remove, self.report)
-            journal.rollback_removed += 1
-            executed += 1
-        return executed
-
     # -- shared machinery --------------------------------------------------------------
-    def _run_batch(self, steps: list[MigrationStep], cursor: str, budget: int) -> int:
+    def _run_batch(
+        self,
+        steps: list[MigrationStep],
+        cursor: str,
+        limit: int,
+        budget: int,
+        undo: bool = False,
+    ) -> int:
+        """Execute ``steps[cursor:limit]`` (at most ``budget``), advancing ``cursor``.
+
+        With ``undo`` each forward step runs inverted: a copy becomes the
+        drop of the replica it added, a drop becomes the restore-copy of the
+        replica it removed (sourced from a replica of the new placement).
+        """
         journal = self.journal
         done = getattr(journal, cursor)
         executed = 0
-        while done < len(steps) and executed < budget:
+        while done < limit and executed < budget:
             step = steps[done]
+            if undo:
+                step = (
+                    MigrationStep("drop", step.tuple_id, step.target)
+                    if step.action == "copy"
+                    else MigrationStep(
+                        "copy",
+                        step.tuple_id,
+                        min(self._new_placement[step.tuple_id]),
+                        step.source,
+                    )
+                )
             if not self._fault_gate(step):
                 break
             if step.action == "copy":
-                self.migrator._copy(step, self.report)
+                self._copy(step)
             else:
-                self.migrator._drop(step, self.report)
+                self._drop(step)
             done += 1
             executed += 1
-        setattr(journal, cursor, done)
+            setattr(journal, cursor, done)
         if executed:
             self.report.progress.append((self.report.copies, self.report.drops))
         return executed
+
+    def _copy(self, step: MigrationStep) -> None:
+        report = self.report
+        # Read from source: one request/response pair.
+        report.messages += 2
+        copied_bytes = self.cluster.copy_tuple(step.tuple_id, step.source, step.target)
+        if not copied_bytes:
+            # None: the tuple vanished (e.g. deleted by live traffic between
+            # planning and execution) — nothing to copy, routing will miss it
+            # everywhere, which is consistent.  0: the target already held
+            # the replica (a replay after a crash) — nothing was written, so
+            # no write messages, mirroring how dropping an absent replica
+            # reports a skip.
+            report.skipped += 1
+            self._steps_counter.inc(action="copy", result="skipped")
+            return
+        # Write to target: one request/response pair.
+        report.messages += 2
+        report.bytes_copied += copied_bytes
+        report.copies += 1
+        self._steps_counter.inc(action="copy", result="applied")
+
+    def _drop(self, step: MigrationStep) -> None:
+        report = self.report
+        report.messages += 2
+        if self.cluster.drop_tuple(step.tuple_id, step.source):
+            report.drops += 1
+            self._steps_counter.inc(action="drop", result="applied")
+        else:
+            report.skipped += 1
+            self._steps_counter.inc(action="drop", result="skipped")
 
     def _fault_gate(self, step: MigrationStep) -> bool:
         """Draw this step's fault outcomes; False defers it to a later tick.

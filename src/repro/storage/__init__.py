@@ -32,21 +32,17 @@ Layers, bottom to top:
 * :mod:`repro.storage.driver` — closed-loop concurrent clients measuring
   wall-clock throughput/latency/abort-rate, with the process-kill chaos
   hook;
-* :mod:`repro.storage.migrator` — the journaled live-migration executor
-  over this backend: exactly-once cross-partition row movement through the
-  dedup table, the dual-write window on the coordinator's router, and paced
-  sessions resumable after coordinator or worker kills.
+* :mod:`repro.storage.migrator` — the migration backend that lets the
+  journaled executor of :mod:`repro.online.migration` run on this cluster:
+  exactly-once cross-partition row movement through the dedup table, under
+  the coordinator's write locks, resumable after coordinator or worker
+  kills.
 """
 
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.coordinator import StorageCoordinator, StorageOutcome
 from repro.storage.driver import ClosedLoopDriver, DriverReport
-from repro.storage.migrator import (
-    SqliteMigrationBackend,
-    StorageMigrationSession,
-    StorageMigrator,
-    plan_storage_resize,
-)
+from repro.storage.migrator import SqliteMigrationBackend, plan_storage_resize
 from repro.storage.retry import (
     FATAL,
     RETRYABLE,
@@ -66,8 +62,6 @@ __all__ = [
     "ClosedLoopDriver",
     "DriverReport",
     "SqliteMigrationBackend",
-    "StorageMigrator",
-    "StorageMigrationSession",
     "plan_storage_resize",
     "RetryOptions",
     "RetryPolicy",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.catalog.schema import Schema
-from repro.catalog.tuples import TupleId
+from repro.distributed.cluster import partition_rows
 from repro.engine.database import Database
 from repro.obs import get_telemetry
 from repro.storage.sqlite_store import SqlitePartitionStore
@@ -78,29 +78,14 @@ class SqliteStorageCluster:
     ) -> "SqliteStorageCluster":
         """Materialise and load a cluster by placing every tuple of ``database``.
 
-        ``placement`` is a :class:`~repro.core.strategies.PartitioningStrategy`
-        or a :class:`~repro.pipeline.plan.PartitionPlan`; replicated tuples
+        ``placement`` is resolved as in
+        :func:`~repro.distributed.cluster.partition_rows`; replicated tuples
         are copied to every partition in their placement set.  Workers are
         *not* started — call :meth:`start` once loading is done.
         """
-        from repro.pipeline.plan import PartitionPlan
-
-        strategy = (
-            placement.build_strategy()
-            if isinstance(placement, PartitionPlan)
-            else placement
-        )
-        cluster = cls(directory, database.schema, strategy.num_partitions, **kwargs)
-        per_partition: dict[int, dict[str, list[dict]]] = {
-            partition: {} for partition in range(strategy.num_partitions)
-        }
-        for table in database.schema.tables:
-            storage = database.storage(table.name)
-            for key, row in storage.rows():
-                placements = strategy.partitions_for_tuple(TupleId(table.name, key), row)
-                for partition in placements:
-                    per_partition[partition].setdefault(table.name, []).append(dict(row))
-        for partition, tables in per_partition.items():
+        per_partition = partition_rows(database, placement)
+        cluster = cls(directory, database.schema, len(per_partition), **kwargs)
+        for partition, tables in enumerate(per_partition):
             with SqlitePartitionStore(cluster.paths[partition], database.schema) as store:
                 for table_name, rows in tables.items():
                     store.bulk_load(table_name, rows)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
@@ -146,17 +146,15 @@ class LockManager:
                 self._table_lock(token[1]).release(exclusive=token[0] == "table-x")
 
 
-def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object, ...]] | None:
-    """Primary keys a write statement pins, or ``None`` if it could touch any row."""
-    if isinstance(statement, InsertStatement):
-        try:
-            return [schema.table(statement.table).primary_key_of(statement.row)]
-        except KeyError:
-            return None
-    primary_key = schema.table(statement.table).primary_key
+def pinned_primary_keys(
+    statement: Statement, table: str, schema: Schema
+) -> list[tuple[object, ...]] | None:
+    """Primary keys of ``table`` that ``statement``'s WHERE clause pins by
+    equality on every key column, or ``None`` if it could touch any row."""
+    primary_key = schema.table(table).primary_key
     values: dict[str, tuple[object, ...]] = {}
     for condition in conjunctive_conditions(statement_where(statement)):
-        if condition.table in (None, statement.table) and condition.column in primary_key:
+        if condition.table in (None, table) and condition.column in primary_key:
             candidates = condition.candidate_values()
             if candidates:
                 values[condition.column] = candidates
@@ -166,6 +164,21 @@ def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object
     for column in primary_key:
         keys = [key + (value,) for key in keys for value in values[column]]
     return keys
+
+
+def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object, ...]] | None:
+    """Primary keys a write statement pins, or ``None`` if it could touch any row."""
+    if isinstance(statement, InsertStatement):
+        try:
+            return [schema.table(statement.table).primary_key_of(statement.row)]
+        except KeyError:
+            return None
+    return pinned_primary_keys(statement, statement.table, schema)
+
+
+def key_write_tokens(table: str, keys: Iterable[tuple[object, ...]]) -> set[tuple]:
+    """The (unsorted) tokens a write pinning ``keys`` of ``table`` takes."""
+    return {("table-s", table), *(("key", table, tuple(key)) for key in keys)}
 
 
 def write_lock_tokens(transaction: Transaction, schema: Schema) -> list[tuple]:
@@ -179,9 +192,7 @@ def write_lock_tokens(transaction: Transaction, schema: Schema) -> list[tuple]:
         if keys is None:
             tokens.add(("table-x", table))
         else:
-            tokens.add(("table-s", table))
-            for key in keys:
-                tokens.add(("key", table, tuple(key)))
+            tokens |= key_write_tokens(table, keys)
     return sorted(tokens, key=repr)
 
 
@@ -282,20 +293,9 @@ class StorageCoordinator:
         keys = None
         statement = decision.statement
         tables = [statement.tables[0]] if getattr(statement, "tables", None) else []
-        if len(tables) == 1:
-            schema = self.router.schema
-            if schema is not None and schema.has_table(tables[0]):
-                primary_key = schema.table(tables[0]).primary_key
-                values: dict[str, tuple[object, ...]] = {}
-                for condition in conjunctive_conditions(statement_where(statement)):
-                    if condition.table in (None, tables[0]) and condition.column in primary_key:
-                        candidates = condition.candidate_values()
-                        if candidates:
-                            values[condition.column] = candidates
-                if set(values) == set(primary_key):
-                    keys = [()]
-                    for column in primary_key:
-                        keys = [key + (value,) for key in keys for value in values[column]]
+        schema = self.router.schema
+        if len(tables) == 1 and schema is not None and schema.has_table(tables[0]):
+            keys = pinned_primary_keys(statement, tables[0], schema)
         replicas: set[int] = set()
         if keys:
             for key in keys:

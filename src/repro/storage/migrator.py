@@ -30,11 +30,18 @@ make the steps safe under concurrent client traffic and SIGKILLs:
   waiting out a supervisor restart window patiently rather than failing the
   migration on the first exhausted budget.
 
-:class:`StorageMigrator` is the :class:`~repro.online.migration.JournaledMigrator`
-bound to that backend; :func:`plan_storage_resize` builds a resize journal
-from the cluster's *actual* tuple locations; and
-:class:`StorageMigrationSession` paces ticks between live transactions the
-way the simulated controller's session does.
+The executor is the same :class:`~repro.online.migration.JournaledMigrator`
+the simulated controller uses, constructed over this backend, and live
+traffic interleaves with it through the same
+:class:`~repro.online.controller.MigrationSession`::
+
+    backend = SqliteMigrationBackend(
+        cluster, migration_id=journal.migration_id, locks=coordinator.locks
+    )
+    session = MigrationSession(JournaledMigrator(backend, router, journal, sink=sink))
+
+:func:`plan_storage_resize` builds a resize journal from the cluster's
+*actual* tuple locations.
 """
 
 from __future__ import annotations
@@ -44,24 +51,14 @@ from typing import Callable
 
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import hash_home
-from repro.distributed.faults import FaultInjector
 from repro.graph.assignment import PartitionAssignment
-from repro.obs import get_telemetry
-from repro.online.controller import MigrationPacer
-from repro.online.migration import (
-    FileJournalSink,
-    JournaledMigrator,
-    MemoryJournalSink,
-    MigrationJournal,
-    MigrationReport,
-    plan_migration,
-)
-from repro.routing.router import Router
+from repro.online.migration import MigrationJournal, plan_migration
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.coordinator import (
     PATIENT_ATTEMPTS,
     PATIENT_DELAY_S,
     LockManager,
+    key_write_tokens,
 )
 from repro.storage.retry import RetryBudgetExhausted, RetryOptions, RetryPolicy
 from repro.utils.canonical_json import dumps_canonical
@@ -95,6 +92,22 @@ class SqliteMigrationBackend:
         self.cluster.grow_to(num_partitions)
 
     def shrink_to(self, num_partitions: int) -> None:
+        """Remove the partitions above ``num_partitions`` once each is empty.
+
+        Refuses like the in-memory cluster, before any file is deleted, when
+        a partition it would remove still stores rows.
+        """
+        for partition in range(num_partitions, self.cluster.num_partitions):
+            remaining = self._patiently(
+                "migrate-row-count",
+                ("row_count", partition),
+                lambda p=partition: self._request(p, "row_count", None),
+            )
+            if remaining:
+                raise ValueError(
+                    f"partition {partition} still stores {remaining} rows; "
+                    "migrate them away before shrinking"
+                )
         self.cluster.shrink_to(num_partitions)
 
     # -- worker requests ---------------------------------------------------------------
@@ -117,12 +130,9 @@ class SqliteMigrationBackend:
 
     # -- step execution ----------------------------------------------------------------
     def _tokens(self, tuple_id: TupleId) -> list[tuple]:
-        # The same tokens a single-key client write takes (see
-        # write_lock_tokens), in the same global sort order.
-        return sorted(
-            [("key", tuple_id.table, tuple(tuple_id.key)), ("table-s", tuple_id.table)],
-            key=repr,
-        )
+        # The same tokens a single-key client write takes, in the same
+        # global sort order.
+        return sorted(key_write_tokens(tuple_id.table, [tuple_id.key]), key=repr)
 
     def copy_tuple(self, tuple_id: TupleId, source: int, target: int) -> int | None:
         """Move one replica: export from ``source``, exactly-once apply to
@@ -189,48 +199,6 @@ class SqliteMigrationBackend:
         }
 
 
-class StorageMigrator(JournaledMigrator):
-    """A :class:`JournaledMigrator` executing against the real worker cluster.
-
-    Identical state machine, journal format, and crash model as the
-    simulated executor — only the step primitives differ.  Pass the
-    coordinator's ``locks`` so migration steps serialise with concurrent
-    client writes on the same tuples.
-    """
-
-    def __init__(
-        self,
-        cluster: SqliteStorageCluster,
-        router: Router,
-        journal: MigrationJournal,
-        sink: MemoryJournalSink | FileJournalSink | None = None,
-        batch_size: int = 64,
-        injector: FaultInjector | None = None,
-        *,
-        locks: LockManager | None = None,
-        retry_options: RetryOptions | None = None,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.storage_cluster = cluster
-        self.backend = SqliteMigrationBackend(
-            cluster,
-            migration_id=journal.migration_id,
-            locks=locks,
-            retry_options=retry_options,
-            seed=seed,
-            sleep=sleep,
-        )
-        super().__init__(
-            self.backend,
-            router,
-            journal,
-            sink=sink,
-            batch_size=batch_size,
-            injector=injector,
-        )
-
-
 def plan_storage_resize(
     cluster: SqliteStorageCluster,
     new_num_partitions: int,
@@ -247,8 +215,9 @@ def plan_storage_resize(
     count (the same target rule as the simulated controller's resize);
     replicated tuples keep every location that survives the resize.  The
     returned journal has ``backend="storage"`` and carries ``migration_id``,
-    so any later :class:`StorageMigrator` — including one attached after a
-    crash — derives the same exactly-once transaction ids.
+    so any later migrator over a :class:`SqliteMigrationBackend` built with
+    it — including one attached after a crash — derives the same
+    exactly-once transaction ids.
     """
     if new_num_partitions <= 0:
         raise ValueError("new_num_partitions must be positive")
@@ -279,80 +248,3 @@ def plan_storage_resize(
         migration_id=migration_id,
         backend="storage",
     )
-
-
-class StorageMigrationSession:
-    """Paced ticks of a :class:`StorageMigrator` between live transactions.
-
-    The storage-side mirror of the controller's
-    :class:`~repro.online.controller.MigrationSession`: a traffic loop (or
-    the driver's commit hook) calls :meth:`tick` between transactions; an
-    attached :class:`~repro.online.controller.MigrationPacer` — fed the
-    live :class:`~repro.storage.driver.DriverReport` latency/abort stream —
-    gates each tick's step budget, holding the migration still while the
-    SLO recovers.
-    """
-
-    def __init__(
-        self,
-        migrator: StorageMigrator,
-        *,
-        pacer: MigrationPacer | None = None,
-    ) -> None:
-        if migrator.journal.kind != "resize":
-            raise ValueError("StorageMigrationSession drives resize journals")
-        self.migrator = migrator
-        self.journal = migrator.journal
-        self.pacer = pacer
-        self.ticks = 0
-        self.steps_executed = 0
-
-    @property
-    def report(self) -> MigrationReport:
-        """Execution report of (this attempt at) the migration."""
-        return self.migrator.report
-
-    @property
-    def done(self) -> bool:
-        """Whether the journal reached a terminal state."""
-        return self.journal.is_terminal
-
-    def tick(self, idle: bool = False) -> int:
-        """Advance by one paced batch; returns the steps executed."""
-        if self.journal.is_terminal:
-            return 0
-        self.ticks += 1
-        budget: int | None = None
-        if self.pacer is not None:
-            budget = self.pacer.plan_steps(idle=idle)
-            if budget == 0:
-                return 0
-        tracer = get_telemetry().tracer
-        with tracer.span(
-            "migration.tick", state=self.journal.state, budget=budget
-        ) as span:
-            executed = self.migrator.step(budget)
-            span.set_attribute("executed", executed)
-        self.steps_executed += executed
-        return executed
-
-    def cancel(self) -> None:
-        """Switch the migration onto the rollback branch (see the journal)."""
-        self.migrator.cancel()
-
-    def run_to_completion(self, max_ticks: int = 1_000_000) -> MigrationReport:
-        """Idle-tick the migration to a terminal state (the drain phase)."""
-        stalled = 0
-        for _ in range(max_ticks):
-            if self.journal.is_terminal:
-                return self.migrator.report
-            executed = self.tick(idle=True)
-            if executed == 0 and not self.journal.is_terminal:
-                stalled += 1
-                if stalled > 10_000:
-                    raise RuntimeError(
-                        f"migration stalled at {self.journal.progress_summary()}"
-                    )
-            else:
-                stalled = 0
-        raise RuntimeError("migration did not terminate within max_ticks")

@@ -77,13 +77,17 @@ def test_each_effect_kind_is_audited(tmp_path):
         tmp_path,
         """
         def restore(self):
-            self._run_restore_batch()
+            self._run_batch(self.plan.drops, "rollback_restored", 3, 8, undo=True)
 
-        def remove(self):
-            self._run_remove_batch()
+        def flip(self):
+            self._transition("flipped")
         """,
     )
     assert len(active) == 2
+    assert {finding.message.split()[0] for finding in active} == {
+        "_run_batch",
+        "_transition",
+    }
 
 
 def test_the_primitives_themselves_are_exempt(tmp_path):

@@ -114,16 +114,24 @@ def test_resize_to_same_count_rejected(controller):
         controller.resize(controller.num_partitions)
 
 
-def test_stale_smaller_plan_rejected_without_shrink_flag(controller):
-    """Only the shrink path may execute a plan for fewer partitions."""
-    from repro.online.migration import LiveMigrator, MigrationPlan
+def test_stale_smaller_plan_rejected_unless_resize(controller):
+    """Only a resize journal may target fewer partitions than the cluster has."""
+    from repro.online.migration import JournaledMigrator, MigrationJournal, MigrationPlan
 
-    stale = MigrationPlan(controller.num_partitions - 1)
-    migrator = LiveMigrator(controller.cluster)
-    with pytest.raises(ValueError):
-        migrator.execute_copies(stale)
-    # The shrink path says so explicitly and is accepted.
-    migrator.execute_copies(stale, allow_fewer_partitions=True)
+    k = controller.num_partitions
+    stale = MigrationPlan(k - 1)
+    adapt = MigrationJournal.for_plan(
+        stale, kind="adapt", flip_mode="delta", old_num_partitions=k
+    )
+    with pytest.raises(ValueError, match="disagree on the number of partitions"):
+        JournaledMigrator(controller.cluster, controller.router, adapt)
+    # A shrink says so through its journal and is accepted (attach only;
+    # running it would shrink the shared fixture's cluster).
+    shrink = MigrationJournal.for_plan(
+        stale, kind="resize", flip_mode="swap", old_num_partitions=k
+    )
+    JournaledMigrator(controller.cluster, controller.router, shrink)
+    assert controller.cluster.num_partitions == k
 
 
 def test_observe_never_resizes_on_its_constant_rate():

@@ -1,4 +1,4 @@
-"""Unit tests for migration planning, execution, and the routing swap."""
+"""Unit tests for migration planning, journaled execution, and the routing flip."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning
 from repro.distributed.cluster import Cluster
 from repro.graph.assignment import PartitionAssignment
-from repro.online.migration import LiveMigrator, plan_migration
+from repro.online.migration import JournaledMigrator, MigrationJournal, plan_migration
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 
@@ -18,6 +18,30 @@ def _assignment(num_partitions, placements):
     for key, partitions in placements.items():
         assignment.assign(TupleId("account", (key,)), partitions)
     return assignment
+
+
+def _migrator(cluster, router, plan, flip_mode="delta", batch_size=64):
+    journal = MigrationJournal.for_plan(
+        plan, kind="adapt", flip_mode=flip_mode, old_num_partitions=cluster.num_partitions
+    )
+    return JournaledMigrator(cluster, router, journal, batch_size=batch_size)
+
+
+def _deploy(bank_database, placements):
+    """A bank cluster placed by ``placements`` and a router over it."""
+    old = _assignment(2, placements)
+    strategy = LookupTablePartitioning(2, old, "hash")
+    cluster = Cluster.from_database(bank_database, strategy)
+    router = Router(strategy, bank_database.schema, build_lookup_table(old))
+    return strategy, cluster, router
+
+
+def _step_to(migrator, state):
+    while migrator.journal.state != state:
+        migrator.step()
+
+
+BANK = {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}}
 
 
 def test_plan_diffs_only_changed_tuples():
@@ -58,20 +82,18 @@ def test_plan_unknown_current_placement_raises():
 
 
 def test_executor_moves_rows_and_counts_messages(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
+    strategy, cluster, router = _deploy(bank_database, BANK)
     new = _assignment(2, {1: {0}, 2: {1}, 3: {0}, 4: {1}, 5: {0, 1}})
     plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster, batch_size=1)
-    report = migrator.execute(plan)
+    report = _migrator(cluster, router, plan, batch_size=1).run()
     assert report.copies == 2  # tuple 2 moved, tuple 5 replicated
     assert report.drops == 1
     assert report.skipped == 0
     # 2 messages per source read + 2 per target write + 2 per drop.
     assert report.messages == 2 * (2 + 2) + 2
     assert report.bytes_copied > 0
-    assert report.progress[-1] == (2, 1)
+    # One progress entry per batch of one step: copy, copy, drop.
+    assert report.progress == [(1, 0), (2, 0), (2, 1)]
     # Physical placement matches the new assignment.
     assert cluster.database(1).get_row(TupleId("account", (2,))) is not None
     assert cluster.database(0).get_row(TupleId("account", (2,))) is None
@@ -80,46 +102,45 @@ def test_executor_moves_rows_and_counts_messages(bank_database):
 
 
 def test_executor_is_idempotent(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    new = _assignment(2, {2: {1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    migrator.execute(plan)
-    report = migrator.execute(plan)  # replay: copy finds row gone from source
+    strategy, cluster, router = _deploy(bank_database, BANK)
+    plan = plan_migration(strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
+    _migrator(cluster, router, plan).run()
+    # Replay of the same plan: the copy finds the row gone from its source
+    # and the drop finds the replica already gone.
+    report = _migrator(cluster, router, plan).run()
     assert report.copies == 0
     assert report.drops == 0
     assert report.skipped == 2
     assert cluster.database(1).get_row(TupleId("account", (2,))) is not None
 
 
-def test_swap_routing_is_atomic_and_complete(bank_database):
-    old = _assignment(2, {key: {0} for key in (1, 2, 3)} | {4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    router = Router(strategy, bank_database.schema, build_lookup_table(old))
+def test_swap_flip_publishes_a_complete_table_atomically(bank_database):
+    strategy, cluster, router = _deploy(bank_database, BANK)
     old_table = router.lookup_table
     new = _assignment(2, {1: {1}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
     plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    report = migrator.execute(plan)
-    migrator.swap_routing(router, new, report)
-    assert report.lookup_swapped
+    migrator = _migrator(cluster, router, plan, flip_mode="swap")
+    _step_to(migrator, "dual-window")
+    assert router.lookup_table is old_table  # nothing published before the flip
+    migrator.step()  # the flip
+    assert migrator.journal.state == "flipped"
+    assert migrator.report.lookup_swapped
+    # One replacement: a new strategy and a new, complete table.
     assert router.lookup_table is not old_table
-    assert router.strategy.assignment is new
-    assert router.lookup_table.get(TupleId("account", (1,))) == {1}
+    assert router.strategy is not strategy
+    assert dict(router.lookup_table.entries()) == dict(new.placements)
+    assert router.strategy.assignment.placements == new.placements
     # The old table object is untouched (readers mid-flight see a consistent view).
     assert old_table.get(TupleId("account", (1,))) == {0}
+    migrator.run()
+    assert cluster.tuple_locations(TupleId("account", (1,))) == {1}
 
 
 def test_executor_partition_mismatch(bank_database):
-    old = _assignment(2, {1: {0}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
+    strategy, cluster, router = _deploy(bank_database, {1: {0}})
     plan = plan_migration(strategy.partitions_for_tuple, _assignment(3, {1: {2}}))
-    with pytest.raises(ValueError):
-        LiveMigrator(cluster).execute(plan)
+    with pytest.raises(ValueError, match="disagree on the number of partitions"):
+        _migrator(cluster, router, plan)
 
 
 def test_plan_records_routing_changes():
@@ -130,52 +151,44 @@ def test_plan_records_routing_changes():
 
 
 def test_split_execution_copies_then_drops(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    new = _assignment(2, {2: {1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    report = migrator.execute_copies(plan)
+    strategy, cluster, router = _deploy(bank_database, BANK)
+    plan = plan_migration(strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
+    migrator = _migrator(cluster, router, plan)
+    _step_to(migrator, "dual-window")
     # Dually resident between the phases: both placements answer reads.
     assert cluster.tuple_locations(TupleId("account", (2,))) == {0, 1}
-    assert report.copies == 1 and report.drops == 0
-    migrator.execute_drops(plan, report)
+    assert migrator.report.copies == 1 and migrator.report.drops == 0
+    report = migrator.run()
     assert cluster.tuple_locations(TupleId("account", (2,))) == {1}
     assert report.drops == 1
 
 
 def test_apply_routing_delta_updates_live_table_in_place(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    router = Router(strategy, bank_database.schema, build_lookup_table(old))
+    strategy, cluster, router = _deploy(bank_database, BANK)
     live_table = router.lookup_table
     new = _assignment(2, {2: {1}, 3: {0, 1}})
     plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    report = migrator.execute_copies(plan)
-    migrator.apply_routing_delta(router, plan, report)
+    migrator = _migrator(cluster, router, plan, flip_mode="delta")
+    _step_to(migrator, "flipped")
     # Same table object, only the changed entries re-written.
     assert router.lookup_table is live_table
+    assert router.strategy is strategy
     assert live_table.get(TupleId("account", (2,))) == {1}
     assert live_table.get(TupleId("account", (3,))) == {0, 1}
     assert live_table.get(TupleId("account", (1,))) == {0}
     # The deployed assignment tracks the delta too.
     assert strategy.assignment.partitions_of(TupleId("account", (2,))) == {1}
-    assert report.lookup_swapped
+    assert migrator.report.lookup_swapped
 
 
 def test_replayed_copies_report_skips_not_copies(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
+    strategy, cluster, router = _deploy(bank_database, BANK)
     plan = plan_migration(strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
-    migrator = LiveMigrator(cluster)
-    migrator.execute_copies(plan)
+    _step_to(_migrator(cluster, router, plan), "dual-window")
     # Crash-retry between copies and drops: the replica already exists, so
     # the replay writes nothing and accounts a skip (and no write messages).
-    report = migrator.execute_copies(plan)
-    assert report.copies == 0
-    assert report.skipped == 1
-    assert report.messages == 2  # the source read only
+    replay = _migrator(cluster, router, plan)
+    _step_to(replay, "dual-window")
+    assert replay.report.copies == 0
+    assert replay.report.skipped == 1
+    assert replay.report.messages == 2  # the source read only

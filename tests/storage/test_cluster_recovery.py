@@ -12,11 +12,13 @@ import pytest
 
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import HashPartitioning
+from repro.distributed.cluster import Cluster
 from repro.routing.router import Router
 from repro.sqlparse.ast import SelectStatement, UpdateStatement, eq
 from repro.storage import (
     ClosedLoopDriver,
     RetryOptions,
+    SqliteMigrationBackend,
     SqliteStorageCluster,
     StorageCoordinator,
 )
@@ -153,3 +155,22 @@ def test_supervisor_restart_is_journaled(deployed):
     assert "start" in kinds
     assert "crash-detected" in kinds
     assert "restart" in kinds
+
+
+def test_migration_backend_refuses_to_shrink_away_rows(deployed, bank_database):
+    """A shrink removes only empty partitions, as on the in-memory cluster."""
+    strategy, cluster, _ = deployed
+    with pytest.raises(ValueError, match="still stores"):
+        Cluster.from_database(bank_database, strategy).shrink_to(1)
+    backend = SqliteMigrationBackend(cluster, migration_id="shrink")
+    doomed = cluster.paths[1]
+    with pytest.raises(ValueError, match="partition 1 still stores"):
+        backend.shrink_to(1)
+    # Refused before anything was removed: no file deleted, no row lost.
+    assert cluster.num_partitions == 2
+    assert doomed.exists()
+    assert sum(cluster.handle(p).request("row_count") for p in range(2)) == 5
+    # An empty partition goes.
+    backend.grow_to(3)
+    backend.shrink_to(2)
+    assert cluster.num_partitions == 2

@@ -8,7 +8,7 @@ record index the migration coordinator is killed right after that record
 became durable (persist-then-kill), and the surviving cluster must reach a
 consistent end state both ways:
 
-* **resume**: a fresh :class:`StorageMigrator` attached to the reloaded
+* **resume**: a fresh migrator attached to the reloaded
   journal completes the resize, replaying at most one idempotent batch;
 * **cancel**: the fresh migrator rolls the resize back, restoring the
   pre-migration placement and deleting the added partitions' files.
@@ -39,7 +39,7 @@ from repro.online.migration import (
 )
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
-from repro.storage import SqliteStorageCluster, StorageMigrator, plan_storage_resize
+from repro.storage import SqliteMigrationBackend, SqliteStorageCluster, plan_storage_resize
 
 pytestmark = [pytest.mark.storage, pytest.mark.slow]
 
@@ -152,6 +152,12 @@ def _assert_files_match_oracle(cluster, router, database, expected_k: int) -> No
         assert any(partition in resident for partition in placement), tuple_id
 
 
+def _storage_migrator(cluster, router, journal, **kwargs) -> JournaledMigrator:
+    """The journaled executor over the SQLite worker cluster."""
+    backend = SqliteMigrationBackend(cluster, migration_id=journal.migration_id)
+    return JournaledMigrator(backend, router, journal, **kwargs)
+
+
 def _kill_matrix_setup(tmp_path, kill_at: int):
     """Run the migration into a coordinator kill at record ``kill_at``."""
     cluster, router, database = _deploy(tmp_path)
@@ -160,7 +166,7 @@ def _kill_matrix_setup(tmp_path, kill_at: int):
     injector = FaultPlan(
         seed=7, coordinator_kills=(CoordinatorKill(at_record=kill_at),)
     ).build()
-    migrator = StorageMigrator(
+    migrator = _storage_migrator(
         cluster, router, journal, sink=sink, batch_size=BATCH, injector=injector
     )
     with pytest.raises(CoordinatorDeath):
@@ -178,7 +184,7 @@ def test_forward_run_completes_and_files_are_consistent(tmp_path):
     try:
         journal = plan_storage_resize(cluster, NEW_K, migration_id=MIGRATION_ID)
         sink = MemoryJournalSink()
-        report = StorageMigrator(
+        report = _storage_migrator(
             cluster, router, journal, sink=sink, batch_size=BATCH
         ).run()
         assert journal.state == "completed"
@@ -196,7 +202,7 @@ def test_forward_run_completes_and_files_are_consistent(tmp_path):
 def test_kill_at_every_record_then_resume_completes(tmp_path, kill_at):
     cluster, router, database, sink, resumed = _kill_matrix_setup(tmp_path, kill_at)
     try:
-        StorageMigrator(
+        _storage_migrator(
             cluster, router, resumed, sink=sink, batch_size=BATCH
         ).run()
         assert resumed.state == "completed"
@@ -213,12 +219,12 @@ def test_kill_at_every_record_then_cancel_rolls_back(tmp_path, kill_at):
             # Killed at the final record: nothing left to cancel, and
             # cancelling a terminal journal must refuse.
             with pytest.raises(ValueError):
-                StorageMigrator(
+                _storage_migrator(
                     cluster, router, resumed, sink=sink, batch_size=BATCH
                 ).cancel()
             _assert_files_match_oracle(cluster, router, database, NEW_K)
             return
-        recovery = StorageMigrator(
+        recovery = _storage_migrator(
             cluster, router, resumed, sink=sink, batch_size=BATCH
         )
         recovery.cancel()
@@ -238,7 +244,7 @@ def test_worker_sigkill_mid_copy_rides_through(tmp_path):
     cluster, router, database = _deploy(tmp_path)
     try:
         journal = plan_storage_resize(cluster, NEW_K, migration_id=MIGRATION_ID)
-        migrator = StorageMigrator(
+        migrator = _storage_migrator(
             cluster, router, journal, sink=MemoryJournalSink(), batch_size=BATCH
         )
         migrator.step()  # planned -> copying (window open)

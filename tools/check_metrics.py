@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Validate a ``--metrics-out`` snapshot against ``docs/metrics_schema.json``.
 
-CI's metrics-smoke job runs the resilience chaos scenario with
-``--metrics-out`` and feeds the snapshot through this checker: the schema
+The resilience legs of CI's chaos job run the scenario with
+``--metrics-out`` and feed the snapshot through this checker: the schema
 pins the snapshot structure and its ``required`` list names every documented
 metric family the scenario must export, so an instrumentation point that is
 accidentally removed (or renamed) fails the job instead of silently
