@@ -8,6 +8,21 @@ from repro.core.strategies import PartitioningStrategy
 from repro.engine.database import Database
 
 
+class PartitionNotEmptyError(ValueError):
+    """A shrink would remove a partition that still stores rows.
+
+    Every cluster refuses such a shrink before removing anything: the
+    elastic path migrates the rows away (copy -> routing update -> drop)
+    first, so removal never destroys a live replica.
+    """
+
+    def __init__(self, partition: int, remaining: int) -> None:
+        super().__init__(
+            f"partition {partition} still stores {remaining} rows; "
+            "migrate them away before shrinking"
+        )
+
+
 def partition_rows(database: Database, placement) -> list[dict[str, list[dict]]]:
     """The rows each partition stores when ``database`` is placed by ``placement``.
 
@@ -86,19 +101,15 @@ class Cluster:
     def shrink_to(self, new_num_partitions: int) -> None:
         """Remove the trailing partitions down to ``new_num_partitions``.
 
-        The partitions being removed must already be empty: the elastic
-        controller migrates their tuples away (copy -> routing update ->
-        drop) before shrinking, so removal never destroys a live replica.
+        The partitions being removed must already be empty
+        (:class:`PartitionNotEmptyError` otherwise).
         """
         if not 0 < new_num_partitions < self.num_partitions:
             raise ValueError("shrink_to requires fewer (but at least 1) partitions")
         for partition in range(new_num_partitions, self.num_partitions):
             remaining = self.partition_databases[partition].row_count()
             if remaining:
-                raise ValueError(
-                    f"partition {partition} still stores {remaining} rows; "
-                    "migrate them away before shrinking"
-                )
+                raise PartitionNotEmptyError(partition, remaining)
         del self.partition_databases[new_num_partitions:]
         self.num_partitions = new_num_partitions
 

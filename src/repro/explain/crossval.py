@@ -1,8 +1,10 @@
 """K-fold cross-validation for the explanation classifier.
 
-Used as an over-fitting guard (Section 4.3): explanations whose
-cross-validated accuracy is poor are discarded in favour of the fine-grained
-lookup table or the simpler baseline strategies.
+Used as an over-fitting gauge (Section 4.3): the held-out accuracy is
+reported with each table's explanation.  No accuracy threshold discards an
+explanation here; a poor one loses to the fine-grained lookup table or the
+simpler baseline strategies in the final validation phase, which compares
+the strategies' distributed-transaction cost.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.explain.dataset import LabeledSample
-from repro.explain.decision_tree import DecisionTree, DecisionTreeOptions
+from repro.explain.decision_tree import DecisionTree
 from repro.utils.rng import SeededRng
 
 
@@ -18,7 +20,6 @@ def cross_validate(
     samples: Sequence[LabeledSample],
     attribute_names: Sequence[str],
     folds: int = 5,
-    options: DecisionTreeOptions | None = None,
     rng: SeededRng | None = None,
 ) -> float:
     """Return the mean held-out accuracy over ``folds`` folds.
@@ -28,7 +29,7 @@ def cross_validate(
     """
     samples = list(samples)
     if len(samples) < folds * 2:
-        tree = DecisionTree(options).fit(samples, attribute_names)
+        tree = DecisionTree().fit(samples, attribute_names)
         return tree.accuracy(samples)
     rng = rng or SeededRng(0)
     shuffled = list(samples)
@@ -42,7 +43,7 @@ def cross_validate(
         training = shuffled[:start] + shuffled[end:]
         if not training or not held_out:
             continue
-        tree = DecisionTree(options).fit(training, attribute_names)
+        tree = DecisionTree().fit(training, attribute_names)
         accuracies.append(tree.accuracy(held_out))
     if not accuracies:
         return 0.0

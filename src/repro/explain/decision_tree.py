@@ -21,18 +21,22 @@ from repro.explain.dataset import LabeledSample
 from repro.explain.rules import PredicateRule, RuleCondition
 
 
+#: nodes with fewer samples than this are not split.
+MIN_SAMPLES_SPLIT = 2
+#: a split leaving fewer samples than this on either side is rejected.
+MIN_SAMPLES_LEAF = 1
+#: C4.5 pruning confidence factor; smaller prunes more aggressively.
+PRUNING_CONFIDENCE = 0.25
+#: cap on the number of candidate thresholds evaluated per numeric attribute.
+MAX_THRESHOLDS = 64
+
+
 @dataclass
 class DecisionTreeOptions:
     """Hyper-parameters of the tree."""
 
     max_depth: int = 12
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
     min_gain_ratio: float = 1e-3
-    #: C4.5 pruning confidence factor; smaller prunes more aggressively.
-    pruning_confidence: float = 0.25
-    #: cap on the number of candidate thresholds evaluated per numeric attribute.
-    max_thresholds: int = 64
     #: disable pruning entirely (used in tests and ablations).
     prune: bool = True
 
@@ -86,7 +90,7 @@ class DecisionTree:
         )
         if (
             len(label_counts) == 1
-            or len(samples) < self.options.min_samples_split
+            or len(samples) < MIN_SAMPLES_SPLIT
             or depth >= self.options.max_depth
         ):
             return node
@@ -98,8 +102,8 @@ class DecisionTree:
             return node
         left_samples, right_samples = _partition_samples(samples, attribute, threshold, categorical)
         if (
-            len(left_samples) < self.options.min_samples_leaf
-            or len(right_samples) < self.options.min_samples_leaf
+            len(left_samples) < MIN_SAMPLES_LEAF
+            or len(right_samples) < MIN_SAMPLES_LEAF
         ):
             return node
         node.attribute = attribute
@@ -140,9 +144,9 @@ class DecisionTree:
         midpoints = [
             (distinct[index] + distinct[index + 1]) / 2.0 for index in range(len(distinct) - 1)
         ]
-        if len(midpoints) > self.options.max_thresholds:
-            step = len(midpoints) / self.options.max_thresholds
-            midpoints = [midpoints[int(index * step)] for index in range(self.options.max_thresholds)]
+        if len(midpoints) > MAX_THRESHOLDS:
+            step = len(midpoints) / MAX_THRESHOLDS
+            midpoints = [midpoints[int(index * step)] for index in range(MAX_THRESHOLDS)]
         return midpoints
 
     # -- pruning -----------------------------------------------------------------------
@@ -154,9 +158,7 @@ class DecisionTree:
         self._prune(node.left)
         self._prune(node.right)
         subtree_error = self._subtree_estimated_error(node)
-        leaf_error = _pessimistic_error(
-            node.sample_count, node.error_count, self.options.pruning_confidence
-        )
+        leaf_error = _pessimistic_error(node.sample_count, node.error_count, PRUNING_CONFIDENCE)
         if leaf_error <= subtree_error + 0.1:
             node.attribute = None
             node.threshold = None
@@ -165,9 +167,7 @@ class DecisionTree:
 
     def _subtree_estimated_error(self, node: _Node) -> float:
         if node.is_leaf:
-            return _pessimistic_error(
-                node.sample_count, node.error_count, self.options.pruning_confidence
-            )
+            return _pessimistic_error(node.sample_count, node.error_count, PRUNING_CONFIDENCE)
         assert node.left is not None and node.right is not None
         return self._subtree_estimated_error(node.left) + self._subtree_estimated_error(node.right)
 

@@ -31,10 +31,20 @@ from repro.utils.rng import SeededRng
 from repro.workload.rwsets import AccessTrace
 from repro.workload.sampling import (
     filter_blanket_statements,
-    filter_rare_tuples,
     sample_transactions,
     sample_tuples,
 )
+
+
+#: statements touching more than this many tuples are dropped from the trace
+#: (Section 4.3's blanket-statement filter: scans add clique edges among
+#: tuples that no partitioning could co-locate).
+BLANKET_STATEMENT_THRESHOLD = 100
+#: small constant added to every replication edge so that replication is only
+#: chosen when it actually saves transaction edges (it models the
+#: storage/consistency cost of keeping an extra copy).  The online
+#: maintainer's incremental replication stars use the same value.
+REPLICATION_EPSILON = 0.1
 
 
 @dataclass
@@ -51,16 +61,8 @@ class GraphBuildOptions:
     transaction_sample_fraction: float = 1.0
     #: tuple-level sampling fraction in (0, 1].
     tuple_sample_fraction: float = 1.0
-    #: drop statements touching more than this many tuples (None disables).
-    blanket_statement_threshold: int | None = 100
-    #: drop tuples accessed by fewer transactions than this (1 disables).
-    min_tuple_accesses: int = 1
     #: merge tuples that are always accessed together into a single node.
     coalesce_tuples: bool = True
-    #: small constant added to every replication edge so that replication is
-    #: only chosen when it actually saves transaction edges (it models the
-    #: storage/consistency cost of keeping an extra copy).
-    replication_epsilon: float = 0.1
     #: random seed for the sampling heuristics.
     seed: int = 0
 
@@ -184,15 +186,11 @@ def build_tuple_graph(
     """
     options = options or GraphBuildOptions()
     rng = SeededRng(options.seed)
-    reduced = trace
-    if options.blanket_statement_threshold is not None:
-        reduced = filter_blanket_statements(reduced, options.blanket_statement_threshold)
+    reduced = filter_blanket_statements(trace, BLANKET_STATEMENT_THRESHOLD)
     if options.transaction_sample_fraction < 1.0:
         reduced = sample_transactions(reduced, options.transaction_sample_fraction, rng.fork("txn"))
     if options.tuple_sample_fraction < 1.0:
         reduced = sample_tuples(reduced, options.tuple_sample_fraction, rng.fork("tuple"))
-    if options.min_tuple_accesses > 1:
-        reduced = filter_rare_tuples(reduced, options.min_tuple_accesses)
 
     accesses = reduced.accesses
     touching: dict[TupleId, list[int]] = {}
@@ -301,7 +299,7 @@ def _materialise_group(
         center_weight = 0.0
         satellite_weight = float(group_size)
     group.center_node = graph.add_node(center_weight)
-    replication_edge_weight = float(write_count * group_size) + options.replication_epsilon
+    replication_edge_weight = float(write_count * group_size) + REPLICATION_EPSILON
     for transaction_index in group.accessing_transactions:
         satellite = graph.add_node(satellite_weight)
         group.satellites[transaction_index] = satellite

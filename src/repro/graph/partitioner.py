@@ -8,17 +8,18 @@ The partitioner combines three classic ingredients:
 3. **Uncoarsening** with Fiduccia–Mattheyses refinement at every level.
 
 Two-way partitions run the classic multilevel bisection.  k-way partitions
-for k > 2 use a **direct k-way multilevel path** by default: coarsen the
-graph *once*, k-way partition the coarsest graph (by recursive bisection,
-which is cheap at that size; k need not be a power of two — weight targets
-split proportionally), then refine all k parts in one boundary-FM sweep per
+for k > 2 use a **direct k-way multilevel path**: coarsen the graph *once*,
+k-way partition the coarsest graph (by recursive bisection, which is cheap
+at that size; k need not be a power of two — weight targets split
+proportionally), then refine all k parts in one boundary-FM sweep per
 uncoarsening level (:func:`~repro.graph.refine.kway_fm_refine`, per-part
-gain buckets).  This eliminates the repeated subview/coarsen work that
-recursive bisection performs once per bisection branch — log(k) coarsening
-hierarchies collapse into one.  ``PartitionerOptions.kway_mode`` restores
-the old recursive behaviour when needed.  Balance is expressed as a maximum
-allowed relative imbalance over perfectly even partitions, matching the
-"constant factor of perfect balance" constraint in the paper.
+gain buckets).  Recursive bisection of the full graph would coarsen once
+per bisection branch; here log(k) coarsening hierarchies collapse into one.
+Balance is expressed as a maximum allowed relative imbalance over perfectly
+even partitions, matching the "constant factor of perfect balance"
+constraint in the paper.  Only ``imbalance``, ``coarsen_target``,
+``initial_trials``, ``refine_passes`` and ``seed`` are options; the other
+settings are the module constants below.
 
 The whole pipeline runs on the frozen CSR representation
 (:class:`~repro.graph.model.CSRGraph`): mutable ``Graph`` inputs are frozen
@@ -33,9 +34,9 @@ themselves and pass the ``CSRGraph`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.graph.coarsen import coarsen_chain, coarsen_to, project_assignment
+from repro.graph.coarsen import coarsen_chain, project_assignment
 from repro.graph.initial import greedy_bisection, peripheral_seed, random_bisection
 from repro.graph.model import CSRGraph, Graph, as_csr
 from repro.obs import get_telemetry
@@ -50,24 +51,40 @@ from repro.graph.refine import (
 from repro.utils.rng import SeededRng
 
 
+#: abort an FM pass after this many consecutive non-improving moves.  A short
+#: streak bounds the speculative hill-climb (and its rollback) per pass;
+#: empirically 16 is both faster and no worse in cut than long streaks on the
+#: Figure-5 graphs.  The k-way sweeps use multiples of it.
+FM_NEGATIVE_STREAK = 16
+#: the direct k-way path stops coarsening at
+#: ``max(coarsen_target, KWAY_COARSE_FACTOR * k)`` nodes, so the initial k-way
+#: partition always has a handful of coarse nodes per part to allocate.
+KWAY_COARSE_FACTOR = 20
+#: a two-way bisection refines this many of the best initial candidates
+#: through the *whole* uncoarsening and keeps the best final cut.  Selecting
+#: at the coarsest level alone commits to one basin before refinement has had
+#: a say; carrying 2 recovers most of the spread at roughly twice the two-way
+#: refinement cost (coarsening itself is shared).
+BISECTION_CARRY = 2
+#: a two-way bisection also runs the multilevel pipeline over this many
+#: differently-seeded coarsening chains (seed, seed+1, …) and keeps the best
+#: final cut.  The two-way cut's variance lives mostly in the coarsening
+#: randomisation; initial-candidate diversity alone cannot reach basins a
+#: chain never exposes.  Chains are memoised per seed on the frozen graph, so
+#: repeated k=2 calls pay the extra coarsening once.
+TWO_WAY_CHAIN_TRIALS = 2
+
+
 @dataclass
 class PartitionerOptions:
     """Tuning knobs for the partitioner.
 
     Count-valued knobs (``coarsen_target``, ``initial_trials``,
-    ``refine_passes``, ``fm_negative_streak``, ``kway_coarse_factor``,
-    ``bisection_carry``, ``two_way_chain_trials``) are clamped to at least 1
-    on construction — zero or negative values used to degrade silently
-    (empty trial loops, runaway coarsening).  ``imbalance`` and
-    ``kway_mode`` are validated outright, and a single-trial configuration
-    still uses greedy growing for its initial bisection (it never silently
-    degrades to a random split).
-
-    Two-way quality knobs (``peripheral_seed_trial``, ``bisection_carry``,
-    ``two_way_chain_trials``) apply to root-level bisections only; the
-    direct k-way path pins them to their cheap settings for its
-    coarsest-graph initial partition, whose quality is dominated by the
-    k-way refinement that follows.
+    ``refine_passes``) are clamped to at least 1 on construction — zero or
+    negative values used to degrade silently (empty trial loops, runaway
+    coarsening).  ``imbalance`` is validated outright, and a single-trial
+    configuration still uses greedy growing for its initial bisection (it
+    never silently degrades to a random split).
 
     The array backend (numpy vs. pure-Python CSR arrays) is *not* an option
     here: it is process-wide, selected by the ``REPRO_ARRAY_BACKEND``
@@ -80,73 +97,22 @@ class PartitionerOptions:
     #: ideal weight by 5% (plus one maximal node, to guarantee feasibility).
     imbalance: float = 0.05
     #: stop coarsening when the graph has at most this many nodes.  The
-    #: direct k-way path coarsens to ``max(coarsen_target, 4 * k)`` so the
-    #: coarsest graph always has a few nodes per part to work with.
+    #: direct k-way path coarsens to
+    #: ``max(coarsen_target, KWAY_COARSE_FACTOR * k)``.
     coarsen_target: int = 120
     #: number of greedy-graph-growing trials for the initial bisection.
     initial_trials: int = 8
     #: number of FM passes per uncoarsening level (two-way and k-way alike).
     refine_passes: int = 4
-    #: abort an FM pass after this many consecutive non-improving moves.  A
-    #: short streak bounds the speculative hill-climb (and its rollback) per
-    #: pass; empirically 16 is both faster and no worse in cut than long
-    #: streaks on the Figure-5 graphs.
-    fm_negative_streak: int = 16
-    #: how partitions for k > 2 are produced: "auto"/"direct" use the direct
-    #: k-way multilevel path (coarsen once, k-way FM per level), "recursive"
-    #: forces the legacy recursive-bisection path.
-    kway_mode: str = "auto"
-    #: the direct k-way path stops coarsening at
-    #: ``max(coarsen_target, kway_coarse_factor * k)`` nodes, so the initial
-    #: k-way partition always has a handful of coarse nodes per part to
-    #: allocate; larger factors trade initial-partition time for cut quality.
-    kway_coarse_factor: int = 20
-    #: run the extra FM polish when a bisection's graph needed no coarsening
-    #: (the per-trial refinement already ran once).  The direct k-way path
-    #: disables this for its coarsest-graph initial partition, where the
-    #: k-way refinement sweep immediately follows anyway.
-    flat_refine: bool = True
-    #: add one deterministic greedy-growing trial seeded from a
-    #: pseudo-peripheral node (double-BFS) to every *root-level* initial
-    #: bisection, on top of the ``initial_trials`` random-seed trials.  A
-    #: rim-grown region tends to meet the opposite rim with a short
-    #: boundary, which stabilises two-way cut quality against unlucky
-    #: random seeds (the k=2 regression noted after the PR-3 coarsening
-    #: re-roll).  Inner recursive bisections skip it.
-    peripheral_seed_trial: bool = True
-    #: at a root-level bisection (the graphs that own a memoised coarsening
-    #: chain), refine this many of the best initial candidates through the
-    #: *whole* uncoarsening and keep the best final cut.  Selecting at the
-    #: coarsest level alone commits to one basin before refinement has had a
-    #: say — carrying 2 candidates recovers most of the spread at roughly
-    #: twice the two-way refinement cost (coarsening itself is shared).
-    #: Clamped to at least 1; inner recursive bisections always carry 1.
-    bisection_carry: int = 2
-    #: at a root-level *two-way* bisection, also try the multilevel pipeline
-    #: over this many differently-seeded coarsening chains (seed, seed+1, …)
-    #: and keep the best final cut.  The two-way cut's variance lives mostly
-    #: in the coarsening randomisation — initial-candidate diversity alone
-    #: cannot reach basins a chain never exposes.  Chains are memoised per
-    #: seed on the frozen graph, so repeated k=2 calls pay the extra
-    #: coarsening once.  Clamped to at least 1 (1 restores the single-chain
-    #: behaviour); the direct k-way path's coarsest-level initial partition
-    #: keeps a single chain, its quality being dominated by later refinement.
-    two_way_chain_trials: int = 2
     #: random seed (tie-breaking, seed selection, matching order).
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.imbalance < 0:
             raise ValueError("imbalance must be non-negative")
-        if self.kway_mode not in ("auto", "direct", "recursive"):
-            raise ValueError("kway_mode must be 'auto', 'direct' or 'recursive'")
         self.coarsen_target = max(1, int(self.coarsen_target))
         self.initial_trials = max(1, int(self.initial_trials))
         self.refine_passes = max(1, int(self.refine_passes))
-        self.fm_negative_streak = max(1, int(self.fm_negative_streak))
-        self.kway_coarse_factor = max(1, int(self.kway_coarse_factor))
-        self.bisection_carry = max(1, int(self.bisection_carry))
-        self.two_way_chain_trials = max(1, int(self.two_way_chain_trials))
 
 
 class GraphPartitioner:
@@ -178,18 +144,15 @@ class GraphPartitioner:
         with telemetry.tracer.span(
             "partition.kway", k=num_parts, nodes=csr.num_nodes
         ):
-            if num_parts > 2 and self.options.kway_mode != "recursive":
+            if num_parts > 2:
                 return self._direct_kway(csr, num_parts, rng)
-            assignment = [0] * csr.num_nodes
+            nodes = list(csr.nodes())
             with telemetry.tracer.span("partition.bisect", k=num_parts):
-                self._recursive_bisect(
-                    csr,
-                    list(csr.nodes()),
-                    num_parts,
-                    first_part=0,
-                    assignment=assignment,
-                    rng=rng,
-                )
+                two_way = self._multilevel_bisection(csr, 0.5, rng)
+                _, right_nodes = _split(csr, nodes, nodes, two_way)
+            assignment = [0] * csr.num_nodes
+            for node in right_nodes:
+                assignment[node] = 1
             max_weights = self._kway_max_weights(csr, num_parts)
             with telemetry.tracer.span("partition.refine", level=0, nodes=csr.num_nodes):
                 rebalance(csr, assignment, num_parts, max_weights)
@@ -211,20 +174,20 @@ class GraphPartitioner:
         (:func:`~repro.graph.coarsen.coarsen_chain`): sweeping k over one
         graph — the Figure-5 protocol, and the paper's own "partition for
         several k, keep the best" loop — pays for the hierarchy once.  The
-        initial k-way partition of the coarsest graph comes from recursive
-        bisection with a tightened balance (a quarter of the slack, so the
-        per-branch tolerances cannot compound into overweight parts that the
-        rebalance would then fix at the cut's expense) and a lean trial
-        budget — at
-        coarsest size its quality is dominated by the later refinement
-        anyway.  Every uncoarsening level then refines all k parts in a
-        single bucket-FM sweep instead of one two-way FM per bisection
-        branch: one fast pass at the intermediate levels, ``refine_passes``
-        hill-climbing passes (wider streak, adaptive early exit) at the
-        finest level where the cut is actually realised, and a final greedy
-        boundary polish.  Balance is repaired once at the coarsest level;
-        projection preserves part weights and the FM never violates
-        ``max_weights``, so the final rebalance is a no-op safety net.
+        initial k-way partition of the coarsest graph comes from a lean
+        recursive bisection (:meth:`_recursive_bisect`) with a tightened
+        balance (a quarter of the slack, so the per-branch tolerances cannot
+        compound into overweight parts that the rebalance would then fix at
+        the cut's expense) and at most two trials per branch — at coarsest
+        size its quality is dominated by the later refinement anyway.  Every
+        uncoarsening level then refines all k parts in a single bucket-FM
+        sweep instead of one two-way FM per bisection branch: one fast pass
+        at the intermediate levels, ``refine_passes`` hill-climbing passes
+        (wider streak, adaptive early exit) at the finest level where the
+        cut is actually realised, and a final greedy boundary polish.
+        Balance is repaired once at the coarsest level; projection preserves
+        part weights and the FM never violates ``max_weights``, so the final
+        rebalance is a no-op safety net.
         """
         options = self.options
         telemetry = get_telemetry()
@@ -232,7 +195,7 @@ class GraphPartitioner:
             "partition.phases", "partitioner phase executions", labels=("phase",)
         )
         max_weights = self._kway_max_weights(csr, num_parts)
-        coarse_target = max(options.coarsen_target, options.kway_coarse_factor * num_parts)
+        coarse_target = max(options.coarsen_target, KWAY_COARSE_FACTOR * num_parts)
         with telemetry.tracer.span("partition.coarsen", nodes=csr.num_nodes) as coarsen_span:
             levels = coarsen_chain(csr, coarse_target, options.seed)
             # A level far below the target over-coarsens the initial partition's
@@ -243,33 +206,19 @@ class GraphPartitioner:
             coarsen_span.set_attribute("levels", len(levels))
             coarsen_span.set_attribute("coarsest_nodes", coarsest.num_nodes)
         phases.inc(phase="coarsen")
-        initial = GraphPartitioner(
-            replace(
-                options,
-                imbalance=options.imbalance * 0.25,
-                initial_trials=min(options.initial_trials, 2),
-                refine_passes=1,
-                coarsen_target=max(options.coarsen_target, coarsest.num_nodes),
-                flat_refine=False,
-                # The coarsest-level initial partition is dominated by the
-                # k-way refinement that follows; the two-way quality knobs
-                # would only add work (and reshuffle the k>2 results).
-                peripheral_seed_trial=False,
-                bisection_carry=1,
-                two_way_chain_trials=1,
-            )
-        )
         assignment = [0] * coarsest.num_nodes
         with telemetry.tracer.span(
             "partition.initial", k=num_parts, nodes=coarsest.num_nodes
         ):
-            initial._recursive_bisect(
+            self._recursive_bisect(
                 coarsest,
                 list(coarsest.nodes()),
                 num_parts,
                 first_part=0,
                 assignment=assignment,
                 rng=rng,
+                imbalance=options.imbalance * 0.25,
+                trials=min(options.initial_trials, 2),
             )
             rebalance(coarsest, assignment, num_parts, max_weights)
             external = kway_fm_refine(
@@ -278,7 +227,7 @@ class GraphPartitioner:
                 num_parts,
                 max_weights,
                 max_passes=max(options.refine_passes, 2),
-                max_negative_streak=4 * options.fm_negative_streak,
+                max_negative_streak=4 * FM_NEGATIVE_STREAK,
                 pass_gain_tolerance=0.002,
             )
         phases.inc(phase="initial")
@@ -297,9 +246,7 @@ class GraphPartitioner:
                     num_parts,
                     max_weights,
                     max_passes=options.refine_passes if finest else 1,
-                    max_negative_streak=8 * options.fm_negative_streak
-                    if finest
-                    else 4 * options.fm_negative_streak,
+                    max_negative_streak=(8 if finest else 4) * FM_NEGATIVE_STREAK,
                     boundary_hint=boundary_hint,
                     want_external=not finest,
                     pass_gain_tolerance=0.002,
@@ -318,7 +265,16 @@ class GraphPartitioner:
         first_part: int,
         assignment: list[int],
         rng: SeededRng,
+        imbalance: float,
+        trials: int,
     ) -> None:
+        """Assign ``node_ids`` to parts ``first_part ..`` by repeated bisection.
+
+        Only the direct k-way path calls this, on its coarsest graph.  At
+        that size a bisection needs no coarsening of its own, so each branch
+        keeps the single best of ``trials`` greedy-growing candidates
+        (:meth:`_initial_bisection`) without the two-way quality extras.
+        """
         if num_parts == 1 or not node_ids:
             for node in node_ids:
                 assignment[node] = first_part
@@ -332,71 +288,57 @@ class GraphPartitioner:
         left_parts = (num_parts + 1) // 2
         right_parts = num_parts - left_parts
         target_fraction = left_parts / num_parts
-        two_way = self._multilevel_bisection(
-            subgraph, target_fraction, rng, use_chain=subgraph is original
+        [(two_way, _)] = self._initial_bisection(
+            subgraph,
+            target_fraction,
+            rng,
+            _two_way_max_weights(subgraph, target_fraction, imbalance),
+            trials,
         )
-        left_nodes = [mapping[i] for i, side in enumerate(two_way) if side == 0]
-        right_nodes = [mapping[i] for i, side in enumerate(two_way) if side == 1]
-        if not left_nodes or not right_nodes:
-            # Degenerate bisection (e.g. a single huge node): split arbitrarily
-            # so that every part receives at least one node where possible.
-            ordered = sorted(node_ids, key=lambda node: -original.node_weights[node])
-            left_nodes = ordered[::2]
-            right_nodes = ordered[1::2]
-        self._recursive_bisect(original, left_nodes, left_parts, first_part, assignment, rng)
+        left_nodes, right_nodes = _split(original, node_ids, mapping, two_way)
         self._recursive_bisect(
-            original, right_nodes, right_parts, first_part + left_parts, assignment, rng
+            original, left_nodes, left_parts, first_part, assignment, rng, imbalance, trials
+        )
+        self._recursive_bisect(
+            original,
+            right_nodes,
+            right_parts,
+            first_part + left_parts,
+            assignment,
+            rng,
+            imbalance,
+            trials,
         )
 
     # -- multilevel bisection -----------------------------------------------------------
     def _multilevel_bisection(
-        self,
-        graph: CSRGraph,
-        target_fraction: float,
-        rng: SeededRng,
-        use_chain: bool = False,
+        self, graph: CSRGraph, target_fraction: float, rng: SeededRng
     ) -> list[int]:
-        total_weight = graph.total_node_weight()
-        max_node_weight = max(graph.lists()[3], default=0.0)
-        slack = 1.0 + self.options.imbalance
-        max_weights = (
-            total_weight * target_fraction * slack + max_node_weight,
-            total_weight * (1.0 - target_fraction) * slack + max_node_weight,
-        )
-        chain_trials = self.options.two_way_chain_trials if use_chain else 1
+        """Two-way multilevel bisection of a caller-owned graph (the k=2 path).
+
+        Tries :data:`TWO_WAY_CHAIN_TRIALS` memoised coarsening chains, carries
+        the :data:`BISECTION_CARRY` best initial candidates of each through
+        the whole uncoarsening, and keeps the best final cut.
+        """
+        options = self.options
+        max_weights = _two_way_max_weights(graph, target_fraction, options.imbalance)
         best_assignment: list[int] | None = None
         best_score = float("inf")
-        for chain_index in range(chain_trials):
-            if use_chain:
-                # Root bisection of a caller-owned graph: reuse (or build)
-                # the memoised coarsening chain so repeated partitions of
-                # the same frozen graph — any k, including 2 — share one
-                # hierarchy per chain seed.
-                levels = coarsen_chain(
-                    graph, self.options.coarsen_target, self.options.seed + chain_index
-                )
-                chain_rng = (
-                    rng if chain_trials == 1 else rng.fork(("chain", chain_index))
-                )
-            else:
-                levels = coarsen_to(graph, self.options.coarsen_target, rng)
-                chain_rng = rng
+        for chain_index in range(TWO_WAY_CHAIN_TRIALS):
+            # Reuse (or build) the memoised coarsening chain so repeated
+            # partitions of the same frozen graph share one hierarchy per
+            # chain seed.
+            levels = coarsen_chain(graph, options.coarsen_target, options.seed + chain_index)
+            chain_rng = rng.fork(("chain", chain_index))
             coarsest = levels[-1].graph if levels else graph
-            # Root-level bisections carry several initial candidates through
-            # the full uncoarsening (selection at the coarsest level alone
-            # commits to a basin before refinement has spoken); inner
-            # recursive bisections carry one — their mistakes are cheap and
-            # local.
-            carry = self.options.bisection_carry if use_chain else 1
             candidates = self._initial_bisection(
                 coarsest,
                 target_fraction,
                 chain_rng,
                 max_weights,
-                count=carry,
-                root=use_chain,
+                max(options.initial_trials, 4 * BISECTION_CARRY),
+                count=BISECTION_CARRY,
             )
-            single_shot = len(candidates) == 1 and chain_trials == 1
             for assignment, external in candidates:
                 # Uncoarsen: project back level by level, refining at each
                 # step.  The graph one step finer than levels[index] is
@@ -413,20 +355,20 @@ class GraphPartitioner:
                         finer_graph,
                         assignment,
                         max_weights,
-                        max_passes=self.options.refine_passes,
-                        max_negative_streak=self.options.fm_negative_streak,
+                        max_passes=options.refine_passes,
+                        max_negative_streak=FM_NEGATIVE_STREAK,
                         boundary_hint=boundary_hint,
                     )
-                if not levels and self.options.flat_refine:
+                if not levels:
+                    # The graph needed no coarsening: the per-candidate
+                    # refinement ran only one pass, so polish it in full.
                     external = _fm_refine_csr(
                         graph,
                         assignment,
                         max_weights,
-                        max_passes=self.options.refine_passes,
-                        max_negative_streak=self.options.fm_negative_streak,
+                        max_passes=options.refine_passes,
+                        max_negative_streak=FM_NEGATIVE_STREAK,
                     )
-                if single_shot:
-                    return assignment
                 cut = sum(external) / 2.0
                 penalty = (
                     0.0
@@ -445,16 +387,16 @@ class GraphPartitioner:
         target_fraction: float,
         rng: SeededRng,
         max_weights: tuple[float, float],
+        trials: int,
         count: int = 1,
-        root: bool = False,
     ) -> list[tuple[list[int], list[float]]]:
         """The ``count`` best initial candidates, ranked, duplicates dropped.
 
         Each candidate is ``(assignment, external)`` after one quick FM pass;
         feasible bisections rank before infeasible ones, smaller cuts first.
-        ``root`` marks a root-level bisection — the only place the two-way
-        quality extras (the peripheral seed trial, the scaled trial pool)
-        run; inner recursive bisections keep the lean per-branch cost.
+        A carried selection (``count > 1``, the k=2 multilevel bisection)
+        adds one deterministic trial grown from a pseudo-peripheral node;
+        the lean recursive branches of the direct k-way path skip it.
         """
         total_weight = graph.total_node_weight()
         target_zero = total_weight * target_fraction
@@ -478,7 +420,7 @@ class GraphPartitioner:
                 candidate,
                 max_weights,
                 max_passes=1,
-                max_negative_streak=self.options.fm_negative_streak,
+                max_negative_streak=FM_NEGATIVE_STREAK,
             )
             key = tuple(candidate)
             if key in seen_refined:
@@ -492,24 +434,18 @@ class GraphPartitioner:
             penalty = 0.0 if balanced else graph.total_edge_weight() + 1.0
             ranked.append((cut + penalty, len(ranked), candidate, external))
 
-        if root and self.options.peripheral_seed_trial:
-            # Deterministic trial: grow from a pseudo-peripheral node.  Runs
-            # first so random trials only replace it by strictly beating it.
+        if count > 1:
+            # Deterministic trial: grow from a pseudo-peripheral node.  A
+            # rim-grown region tends to meet the opposite rim with a short
+            # boundary, which steadies the two-way cut against unlucky random
+            # seeds.  Runs first so random trials only replace it by strictly
+            # beating it.
             trial_rng = rng.fork(("initial", "peripheral"))
             consider(
                 greedy_bisection(
                     graph, target_zero, trial_rng, seed_node=peripheral_seed(graph)
                 )
             )
-        trials = max(1, self.options.initial_trials)
-        if count > 1:
-            # A carried selection needs a candidate pool several times the
-            # carry, or the "runners-up" are whatever happened to be drawn.
-            # Root-level trials run on the coarsest graph, where each one is
-            # a few thousand scalar ops — diversity here is nearly free,
-            # unlike in recursive branches (count == 1) where trials
-            # multiply across the bisection tree.
-            trials = max(trials, 4 * count)
         for trial in range(trials):
             trial_rng = rng.fork(("initial", trial))
             if trial > 0 and trial == trials - 1 and not ranked:
@@ -538,6 +474,34 @@ class GraphPartitioner:
         max_node_weight = max(graph.lists()[3], default=0.0)
         per_part = total_weight / num_parts
         return [per_part * (1.0 + self.options.imbalance) + max_node_weight] * num_parts
+
+
+def _two_way_max_weights(
+    graph: CSRGraph, target_fraction: float, imbalance: float
+) -> tuple[float, float]:
+    """Side weight caps of a bisection: target share plus slack plus one maximal node."""
+    total_weight = graph.total_node_weight()
+    max_node_weight = max(graph.lists()[3], default=0.0)
+    slack = 1.0 + imbalance
+    return (
+        total_weight * target_fraction * slack + max_node_weight,
+        total_weight * (1.0 - target_fraction) * slack + max_node_weight,
+    )
+
+
+def _split(
+    original: CSRGraph, node_ids: list[int], mapping: list[int], two_way: list[int]
+) -> tuple[list[int], list[int]]:
+    """The original node ids on each side of a bisection of ``node_ids``."""
+    left_nodes = [mapping[i] for i, side in enumerate(two_way) if side == 0]
+    right_nodes = [mapping[i] for i, side in enumerate(two_way) if side == 1]
+    if not left_nodes or not right_nodes:
+        # Degenerate bisection (e.g. a single huge node): split arbitrarily
+        # so that every part receives at least one node where possible.
+        ordered = sorted(node_ids, key=lambda node: -original.node_weights[node])
+        left_nodes = ordered[::2]
+        right_nodes = ordered[1::2]
+    return left_nodes, right_nodes
 
 
 def partition_graph(

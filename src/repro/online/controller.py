@@ -130,6 +130,15 @@ class ElasticOptions:
         return None
 
 
+#: sliding window of committed-transaction latencies (the pacer's p99 source).
+PACING_LATENCY_WINDOW = 128
+#: at most this many read-hot tuples are star-expanded per adaptation.
+REPLICATION_MAX_CANDIDATES = 64
+#: minimum decayed access weight of a replication candidate: cold tuples
+#: never earn a replica.
+REPLICATION_MIN_WEIGHT = 2.0
+
+
 @dataclass
 class PacingOptions:
     """SLO-aware pacing of an in-flight migration.
@@ -143,8 +152,6 @@ class PacingOptions:
     ``max_steps``.
     """
 
-    #: sliding window of committed-transaction latencies (p99 source).
-    latency_window: int = 128
     #: sliding window of attempt outcomes (abort-rate source).
     abort_window: int = 256
     #: pause when the windowed p99 latency proxy exceeds this.
@@ -166,8 +173,8 @@ class PacingOptions:
     backoff_max: int = 16
 
     def __post_init__(self) -> None:
-        if self.latency_window <= 0 or self.abort_window <= 0:
-            raise ValueError("pacing windows must be positive")
+        if self.abort_window <= 0:
+            raise ValueError("abort_window must be positive")
         if self.min_samples <= 0:
             raise ValueError("min_samples must be positive")
         if not 0.0 < self.pressure_ratio <= 1.0:
@@ -225,7 +232,7 @@ class MigrationPacer:
         self, options: PacingOptions | None = None, *, volatile: bool = False
     ) -> None:
         self.options = options or PacingOptions()
-        self._latencies: deque[float] = deque(maxlen=self.options.latency_window)
+        self._latencies: deque[float] = deque(maxlen=PACING_LATENCY_WINDOW)
         self._aborts: deque[int] = deque(maxlen=self.options.abort_window)
         self._backoff = self.options.backoff_initial
         self._pause_remaining = 0
@@ -386,22 +393,15 @@ class OnlineOptions:
     pacing: PacingOptions | None = None
     #: transactions per ingest batch (= one monitor/maintainer epoch).
     batch_size: int = 100
-    #: migration cost per tuple: "tuples" (1 each) or "bytes" (schema row size).
-    move_cost: str = "tuples"
     #: lookup-table backend rebuilt at swap time.
     lookup_backend: str = "dict"
     #: suppress re-adaptation for this many batches after an adaptation.
     cooldown_batches: int = 2
-    #: widen read-hot tuples into replica sets during adaptation.  Candidates
-    #: must clear every one of the three thresholds below.
-    replication_enabled: bool = True
-    #: minimum decayed read fraction for a tuple to be replication-worthy
-    #: (0.9 mirrors the paper's "read-mostly" bar of < 10% writes).
+    #: adaptations widen read-hot tuples into replica sets.  A candidate
+    #: needs at least this decayed read fraction (0.9 mirrors the paper's
+    #: "read-mostly" bar of < 10% writes) and ``REPLICATION_MIN_WEIGHT``
+    #: decayed accesses; at most ``REPLICATION_MAX_CANDIDATES`` qualify.
     replication_min_read_fraction: float = 0.9
-    #: at most this many tuples are star-expanded per adaptation.
-    replication_max_candidates: int = 64
-    #: minimum decayed access weight — cold tuples never earn a replica.
-    replication_min_weight: float = 2.0
     #: retention hysteresis: a tuple that is *already replicated* stays a
     #: candidate down to ``replication_min_read_fraction`` minus this slack,
     #: so decay noise around the entry bar cannot trigger drop/re-copy churn
@@ -412,12 +412,8 @@ class OnlineOptions:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.move_cost not in ("tuples", "bytes"):
-            raise ValueError("move_cost must be 'tuples' or 'bytes'")
         if not 0.0 <= self.replication_min_read_fraction <= 1.0:
             raise ValueError("replication_min_read_fraction must be in [0, 1]")
-        if self.replication_max_candidates < 0:
-            raise ValueError("replication_max_candidates must be non-negative")
         if self.replication_retention_slack < 0:
             raise ValueError("replication_retention_slack must be non-negative")
 
@@ -750,27 +746,24 @@ class OnlineSchism:
         return result
 
     # -- adaptation -------------------------------------------------------------------
-    def current_node_assignment(self) -> tuple[list[int], list[float]]:
-        """Warm-start node assignment + per-node move costs for the maintained graph.
+    def current_node_assignment(self) -> list[int]:
+        """Warm-start node assignment for the maintained graph.
 
         Each node maps to the (deterministically chosen) minimum partition of
         its tuple's deployed placement — including tuples placed by the
         lookup table's default policy, which is where they physically live.
+        Moves are charged the re-partitioner's default cost of one per tuple.
         """
         strategy = self.strategy
-        use_bytes = self.options.move_cost == "bytes"
-        database = self.cluster.partition_databases[0]
-        warm: list[int] = []
-        costs: list[float] = []
-        for tuple_id in self.maintainer.tuples():
-            warm.append(min(strategy.partitions_for_tuple(tuple_id)))
-            costs.append(float(database.tuple_byte_size(tuple_id)) if use_bytes else 1.0)
-        return warm, costs
+        return [
+            min(strategy.partitions_for_tuple(tuple_id))
+            for tuple_id in self.maintainer.tuples()
+        ]
 
     def current_placements(
         self, tuples: list[TupleId], num_partitions: int | None = None
-    ) -> tuple[list[frozenset[int]], list[float]]:
-        """Deployed replica set + move cost per tuple, clamped to ``num_partitions``.
+    ) -> list[frozenset[int]]:
+        """Deployed replica set per tuple, clamped to ``num_partitions``.
 
         The replica-aware counterpart of :meth:`current_node_assignment`.
         Clamping matters during a shrink: a tuple homed only on partitions
@@ -779,10 +772,7 @@ class OnlineSchism:
         """
         k = self.num_partitions if num_partitions is None else num_partitions
         strategy = self.strategy
-        use_bytes = self.options.move_cost == "bytes"
-        database = self.cluster.partition_databases[0]
         placements: list[frozenset[int]] = []
-        costs: list[float] = []
         for tuple_id in tuples:
             placement = frozenset(
                 part for part in strategy.partitions_for_tuple(tuple_id) if part < k
@@ -790,8 +780,7 @@ class OnlineSchism:
             if not placement:
                 placement = hash_home(tuple_id, k)
             placements.append(placement)
-            costs.append(float(database.tuple_byte_size(tuple_id)) if use_bytes else 1.0)
-        return placements, costs
+        return placements
 
     def replication_candidates(self) -> list[int]:
         """Maintained-graph nodes the next adaptation will star-expand.
@@ -802,8 +791,6 @@ class OnlineSchism:
         ``OnlineOptions.replication_retention_slack``.
         """
         options = self.options
-        if not options.replication_enabled or options.replication_max_candidates == 0:
-            return []
         assignment = self.strategy.assignment
         retained = [
             node
@@ -816,8 +803,8 @@ class OnlineSchism:
         )
         return self.maintainer.replication_candidates(
             min_read_fraction=options.replication_min_read_fraction,
-            max_candidates=options.replication_max_candidates,
-            min_weight=options.replication_min_weight,
+            max_candidates=REPLICATION_MAX_CANDIDATES,
+            min_weight=REPLICATION_MIN_WEIGHT,
             retained=retained,
             retention_read_fraction=retention,
         )
@@ -853,18 +840,18 @@ class OnlineSchism:
         candidates = self.replication_candidates()
         result: RepartitionResult | ReplicatedRepartitionResult
         if candidates:
-            current, costs = self.current_placements(self.maintainer.tuples())
+            current = self.current_placements(self.maintainer.tuples())
             csr, tuples, star = self.maintainer.freeze_replicated(
                 candidates, [min(placement) for placement in current]
             )
             result = repartitioner.repartition_replicated(
-                csr, star, current, self.num_partitions, costs
+                csr, star, current, self.num_partitions
             )
             placements = result.placements
         else:
             csr, tuples = self.maintainer.freeze()
-            warm, costs = self.current_node_assignment()
-            result = repartitioner.repartition(csr, warm, self.num_partitions, costs)
+            warm = self.current_node_assignment()
+            result = repartitioner.repartition(csr, warm, self.num_partitions)
             placements = [frozenset({part}) for part in result.assignment]
         target = PartitionAssignment(self.num_partitions)
         for node, tuple_id in enumerate(tuples):
@@ -979,13 +966,11 @@ class OnlineSchism:
     ) -> MigrationSession:
         repartitioner = BudgetedRepartitioner(self.options.repartition)
         candidates = self.replication_candidates()
-        current, costs = self.current_placements(self.maintainer.tuples(), new_partitions)
+        current = self.current_placements(self.maintainer.tuples(), new_partitions)
         csr, tuples, star = self.maintainer.freeze_replicated(
             candidates, [min(placement) for placement in current]
         )
-        result = repartitioner.repartition_replicated(
-            csr, star, current, new_partitions, costs
-        )
+        result = repartitioner.repartition_replicated(csr, star, current, new_partitions)
         target = PartitionAssignment(new_partitions)
         for node, tuple_id in enumerate(tuples):
             target.assign(tuple_id, result.placements[node])
@@ -1175,8 +1160,9 @@ class OnlineSchism:
         the full-reshuffle baseline (labels aligned, so moves are genuine).
         """
         csr, _ = self.maintainer.freeze()
-        warm, costs = self.current_node_assignment()
-        return repartition_from_scratch(csr, warm, self.num_partitions, costs)
+        return repartition_from_scratch(
+            csr, self.current_node_assignment(), self.num_partitions
+        )
 
     def merged_assignment(
         self, tuples: list[TupleId], node_assignment: list[int]

@@ -33,8 +33,9 @@ maintainer keeps decayed per-node **read** and **write** weights, and
 :meth:`freeze_replicated` expands the chosen read-hot candidates into
 bounded stars at freeze time — one satellite per (heaviest) co-access
 neighbour, each carrying that neighbour's transaction edge, all tied to the
-centre by an edge of weight ``write_weight + replication_epsilon`` (the
-consistency cost every extra replica must pay).  The k-way min-cut then
+centre by an edge of weight ``write_weight + REPLICATION_EPSILON`` (the
+offline builder's constant: the consistency cost every extra replica must
+pay).  The k-way min-cut then
 trades replication against distribution per tuple exactly as in §3.1/§4.1
 of the paper: satellites scatter across partitions only when the read
 traffic they localise outweighs the write-synchronisation edge.  The
@@ -50,11 +51,16 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.catalog.tuples import TupleId
+from repro.graph.builder import REPLICATION_EPSILON
 from repro.graph.model import CSRGraph, Graph
 from repro.workload.trace import TransactionAccess
 
 #: Renormalise stored weights once the per-access increment grows past this.
 _RENORMALISE_LIMIT = 1e12
+#: cap on satellites per replication candidate in
+#: :meth:`IncrementalGraphMaintainer.freeze_replicated`; the heaviest
+#: co-access buckets get satellites, the tail stays on the centre.
+MAX_SATELLITES = 12
 
 
 @dataclass
@@ -70,23 +76,12 @@ class MaintainerOptions:
     blanket_transaction_threshold: int = 100
     #: run the prune sweep every this many epochs (it is O(E)).
     prune_interval: int = 8
-    #: constant added to every online replication edge (mirrors the offline
-    #: builder's ``replication_epsilon``): a replica must save strictly more
-    #: read traffic than the storage/consistency cost it introduces.
-    replication_epsilon: float = 0.1
-    #: cap on satellites per replication candidate in
-    #: :meth:`IncrementalGraphMaintainer.freeze_replicated`; the heaviest
-    #: co-access neighbours get satellites, the tail stays on the centre.
-    max_satellites: int = 12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         if self.prune_interval <= 0:
             raise ValueError("prune_interval must be positive")
-        if self.replication_epsilon < 0:
-            raise ValueError("replication_epsilon must be non-negative")
-        self.max_satellites = max(1, int(self.max_satellites))
 
 
 @dataclass
@@ -350,7 +345,7 @@ class IncrementalGraphMaintainer:
         neighbour's current partition).  The satellite inherits every
         transaction edge towards the neighbours of its bucket and is tied to
         the centre by a replication edge of weight ``write_weight +
-        replication_epsilon`` — the synchronisation cost an extra replica
+        REPLICATION_EPSILON`` — the synchronisation cost an extra replica
         must pay.  The min-cut therefore weighs the *aggregate* read traffic
         a partition's readers would save against one replica's write cost,
         which is the true economics of tuple replication (the offline
@@ -359,7 +354,7 @@ class IncrementalGraphMaintainer:
         the bucket is the faithful aggregate).  The candidate's node weight
         is split evenly over its satellites, preserving total weight and
         therefore balance.  Edges between two candidates connect their
-        mutual bucket satellites.  ``max_satellites`` caps the buckets per
+        mutual bucket satellites.  :data:`MAX_SATELLITES` caps the buckets per
         candidate (heaviest first) as a safety bound; with bucketing it only
         binds when partitions outnumber the cap.
 
@@ -378,8 +373,6 @@ class IncrementalGraphMaintainer:
         if not candidate_set:
             csr, tuples = self.freeze()
             return csr, tuples, StarExpansion(num_base, {}, {})
-        epsilon = self.options.replication_epsilon
-        cap = self.options.max_satellites
         expanded = Graph()
         for node in range(num_base):
             if node in candidate_set:
@@ -400,10 +393,10 @@ class IncrementalGraphMaintainer:
                 bucket
                 for bucket, _ in sorted(
                     bucket_weights.items(), key=lambda item: (-item[1], item[0])
-                )[:cap]
+                )[:MAX_SATELLITES]
             ]
             share = base.node_weights[node] / len(chosen)
-            replication_edge = self._write_weights[node] + epsilon
+            replication_edge = self._write_weights[node] + REPLICATION_EPSILON
             node_satellites: list[int] = []
             per_bucket: dict[int, int] = {}
             for bucket in chosen:

@@ -640,10 +640,13 @@ class JournaledMigrator:
             self.cluster.grow_to(journal.new_num_partitions)
         # Only a resize may change the partition count (a shrink removes the
         # evacuated partitions after its drops); anywhere else a count
-        # mismatch means a stale or misdirected plan.
+        # mismatch means a stale or misdirected plan.  A terminal journal
+        # has nothing left to run, and a cancelled grow has already shrunk
+        # the cluster back below its plan's count.
         planned = journal.plan.num_partitions
-        if planned > self.cluster.num_partitions or (
-            not resize and planned != self.cluster.num_partitions
+        if not journal.is_terminal and (
+            planned > self.cluster.num_partitions
+            or (not resize and planned != self.cluster.num_partitions)
         ):
             raise ValueError("plan and cluster disagree on the number of partitions")
         window = self.router.migration_window

@@ -3,7 +3,8 @@
 :class:`SchismOptions` is the one options object of the whole system: it
 bundles the per-stage knob dataclasses (graph construction, partitioner,
 explainer) with the cross-stage policies (default routing for unknown
-tuples, validation tie-breaking).  It historically lived in
+tuples, range fallback).  Validation's tie-break and load-imbalance bounds
+are the defaults of :func:`repro.core.validation.validate_strategies`.  It historically lived in
 ``repro.core.schism``; that module still re-exports it, so both import
 paths work.
 """
@@ -30,12 +31,6 @@ class SchismOptions:
     lookup_default_policy: str = "auto"
     #: fallback for tables without range rules: "replicate" or "hash".
     range_fallback: str = "replicate"
-    #: absolute tolerance on the distributed fraction for the simplicity tie-break.
-    tie_tolerance: float = 0.01
-    #: relative tolerance serving the same purpose (see validate_strategies).
-    relative_tie_tolerance: float = 0.10
-    #: reject candidates whose per-partition load imbalance (max/mean) exceeds this.
-    max_load_imbalance: float = 1.6
     #: also evaluate a hash strategy on the given columns per table (optional).
     hash_columns: dict[str, tuple[str, ...]] | None = None
 

@@ -168,14 +168,7 @@ def _run_validate(state: PipelineState, options: SchismOptions) -> None:
     candidates = candidate_strategies(
         options, state.assignment, state.explanation, state.training_trace
     )
-    state.validation = validate_strategies(
-        candidates,
-        state.test_trace,
-        state.database,
-        tie_tolerance=options.tie_tolerance,
-        relative_tie_tolerance=options.relative_tie_tolerance,
-        max_load_imbalance=options.max_load_imbalance,
-    )
+    state.validation = validate_strategies(candidates, state.test_trace, state.database)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ in-memory mirror.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from repro.catalog.schema import Schema
-from repro.distributed.cluster import partition_rows
+from repro.distributed.cluster import PartitionNotEmptyError, partition_rows
 from repro.engine.database import Database
 from repro.obs import get_telemetry
 from repro.storage.sqlite_store import SqlitePartitionStore
@@ -143,14 +144,29 @@ class SqliteStorageCluster:
             self.supervisor.add_partition(partition, str(path))
         self.num_partitions = num_partitions
 
-    def shrink_to(self, num_partitions: int) -> None:
+    def shrink_to(
+        self,
+        num_partitions: int,
+        row_count: Callable[[int], int] | None = None,
+    ) -> None:
         """Remove the evacuated partitions above ``num_partitions`` — their
         workers stop and their files are deleted.  Idempotent like
-        :meth:`grow_to`."""
+        :meth:`grow_to`.
+
+        Refuses with :class:`~repro.distributed.cluster.PartitionNotEmptyError`,
+        before anything is removed, when a partition it would remove still
+        stores rows.  ``row_count(partition)`` counts them; by default the
+        partition's worker answers, or its file when no worker runs.
+        """
         if num_partitions >= self.num_partitions:
             return
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
+        count = row_count or self._row_count
+        for partition in range(num_partitions, self.num_partitions):
+            remaining = count(partition)
+            if remaining:
+                raise PartitionNotEmptyError(partition, remaining)
         for partition in range(num_partitions, self.num_partitions):
             self.supervisor.remove_partition(partition)
             path = self.paths.pop(partition, None)
@@ -161,6 +177,12 @@ class SqliteStorageCluster:
                 if sidecar.exists():
                     sidecar.unlink()
         self.num_partitions = num_partitions
+
+    def _row_count(self, partition: int) -> int:
+        if self._started and not self._closed:
+            return self.handle(partition).request("row_count")
+        with SqlitePartitionStore(self.paths[partition], self.schema) as store:
+            return store.row_count()
 
     def open_store(self, partition: int) -> SqlitePartitionStore:
         """Open a partition's file directly (audits; cluster must be closed)."""

@@ -94,21 +94,17 @@ class SqliteMigrationBackend:
     def shrink_to(self, num_partitions: int) -> None:
         """Remove the partitions above ``num_partitions`` once each is empty.
 
-        Refuses like the in-memory cluster, before any file is deleted, when
-        a partition it would remove still stores rows.
+        The cluster refuses a partition that still stores rows; its rows are
+        counted through restart windows like every other migration request.
         """
-        for partition in range(num_partitions, self.cluster.num_partitions):
-            remaining = self._patiently(
+        self.cluster.shrink_to(
+            num_partitions,
+            row_count=lambda partition: self._patiently(
                 "migrate-row-count",
                 ("row_count", partition),
-                lambda p=partition: self._request(p, "row_count", None),
-            )
-            if remaining:
-                raise ValueError(
-                    f"partition {partition} still stores {remaining} rows; "
-                    "migrate them away before shrinking"
-                )
-        self.cluster.shrink_to(num_partitions)
+                lambda: self._request(partition, "row_count", None),
+            ),
+        )
 
     # -- worker requests ---------------------------------------------------------------
     def _request(self, partition: int, op: str, payload: object) -> object:

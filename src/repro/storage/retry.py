@@ -56,6 +56,7 @@ EXCEPTION_CLASSIFICATION: dict[str, str] = {
     # (retrying a duplicate-key insert only burns the budget).
     "StoreConstraintError": FATAL,
     "UnsupportedStatementError": FATAL,
+    "PartitionNotEmptyError": FATAL,
     "ValueError": FATAL,
     "RuntimeError": FATAL,
     # Terminal policy outcomes: already *past* retrying — re-entering the

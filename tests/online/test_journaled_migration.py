@@ -183,6 +183,26 @@ def test_cancel_before_any_step_rolls_back_cleanly():
     _assert_consistent(cluster, router)
 
 
+def test_cancelled_grow_journal_reattaches():
+    # A coordinator that dies at the final "cancelled" record must be
+    # resumable: the terminal journal's plan is for the new k, but the
+    # cluster has already shrunk back to the old k.
+    cluster, router, journal = _build()
+    sink = MemoryJournalSink()
+    migrator = JournaledMigrator(cluster, router, journal, sink=sink, batch_size=BATCH)
+    migrator.step()
+    migrator.step()
+    migrator.cancel()
+    migrator.run()
+    assert cluster.num_partitions == OLD_K
+    resumed = JournaledMigrator(cluster, router, sink.load(), sink=sink, batch_size=BATCH)
+    assert resumed.done
+    assert resumed.journal.state == "cancelled"
+    resumed.run()
+    assert cluster.num_partitions == OLD_K
+    _assert_consistent(cluster, router)
+
+
 def test_journal_serialisation_is_byte_deterministic():
     _, _, journal = _build()
     text = journal.dumps()

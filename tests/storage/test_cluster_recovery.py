@@ -157,6 +157,23 @@ def test_supervisor_restart_is_journaled(deployed):
     assert "restart" in kinds
 
 
+@pytest.mark.storage
+def test_cluster_refuses_to_shrink_away_rows(deployed):
+    """Called directly, the cluster itself keeps a partition that holds rows."""
+    _, cluster, _ = deployed
+    doomed = cluster.paths[1]
+    with pytest.raises(ValueError, match="partition 1 still stores"):
+        cluster.shrink_to(1)
+    assert cluster.num_partitions == 2
+    assert doomed.exists()
+    assert sum(cluster.handle(p).request("row_count") for p in range(2)) == 5
+    # With the workers stopped, the count comes from the file itself.
+    cluster.close()
+    with pytest.raises(ValueError, match="partition 1 still stores"):
+        cluster.shrink_to(1)
+    assert doomed.exists()
+
+
 def test_migration_backend_refuses_to_shrink_away_rows(deployed, bank_database):
     """A shrink removes only empty partitions, as on the in-memory cluster."""
     strategy, cluster, _ = deployed
